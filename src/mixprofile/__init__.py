@@ -16,11 +16,12 @@ from .errors import (
     ParseError,
     SingularFrequencyError,
     SingularSystemError,
+    SolverDivergedError,
     UnsupportedQueryError,
 )
 from .estimators import (
+    NormalEquations,
     ProfileEstimate,
-    RecursiveSolver,
     SolverOptions,
     clsda,
     load_estimate,

@@ -13,6 +13,10 @@ class SingularSystemError(MixProfileError, RuntimeError):
     """The normal-equation system is rank deficient."""
 
 
+class SolverDivergedError(MixProfileError, RuntimeError):
+    """An iterative solver's objective increased, so its iterate is not trusted."""
+
+
 class SingularFrequencyError(MixProfileError, ValueError):
     """A frequency vector contains zero entries where positivity is required."""
 

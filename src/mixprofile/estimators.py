@@ -3,9 +3,11 @@
 All attacks model the expected output counts of receiver ``j`` as
 ``A @ r_j`` where ``A`` is the observed input matrix (threshold mix) or the
 expected-departure matrix (pool mix) and ``r_j`` stacks the transition
-probabilities into receiver ``j``.  The batch and recursive solvers minimise
-the squared prediction error receiver by receiver; the constrained solver
-additionally projects every sender profile onto the probability simplex.
+probabilities into receiver ``j``.  The least-squares attacks see a trace
+only through its :class:`NormalEquations`: the batch and recursive solvers
+minimise the squared prediction error receiver by receiver; the constrained
+solver additionally projects every sender profile onto the probability
+simplex.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     InvalidScenarioError,
     ParseError,
     SingularSystemError,
+    SolverDivergedError,
 )
 from .mixsim import Trace
 from .observe import expected_departures
@@ -36,6 +39,8 @@ INIT_PROJECTED = "unconstrained_projected"
 
 #: relative diagonal jitter applied when the explicit ridge fallback is enabled
 RIDGE_SCALE = 1e-10
+#: rounds per block that :func:`rls` feeds into the normal equations
+RLS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,8 @@ class ProfileEstimate:
     ``P_hat[i, j]`` estimates the probability that sender ``i`` writes to
     receiver ``j``.  Unconstrained methods may produce negative entries,
     usually for receivers that are not contacts of the sender.  ``residual``
-    is the squared prediction error of the fit, ``||Y - A @ P_hat||_F**2``.
+    is the squared prediction error of the fit, ``||Y - A @ P_hat||_F**2``,
+    computed in Gram form from the normal equations.
     """
 
     P_hat: np.ndarray
@@ -82,38 +88,77 @@ class SolverOptions:
             raise InvalidParameterError(f"unknown init {self.init!r}")
 
 
-def design_matrix(trace: Trace, f_hat: np.ndarray | None = None) -> np.ndarray:
-    """The matrix the least-squares attacks regress against: U or U_hat."""
-    return expected_departures(trace, f_hat=f_hat).U_hat
-
-
-def _try_spd_factor(gram: np.ndarray):
-    """Cholesky factor of a PSD matrix, or None if numerically rank deficient.
+def _gram_factor(gram: np.ndarray, ridge: bool):
+    """Cholesky factor of a PSD Gram matrix.
 
     LAPACK can report success on an exactly singular matrix with a rounding-
-    level pivot, so the factor diagonal is checked explicitly.
+    level pivot, so the factor diagonal is checked explicitly.  A rank-
+    deficient matrix raises :class:`SingularSystemError` unless ``ridge``
+    enables the diagonal jitter fallback.
     """
     n = gram.shape[0]
     try:
         factor = sla.cho_factor(gram, lower=True, check_finite=False)
+        diag = np.abs(np.diagonal(factor[0]))
+        if diag.min() > diag.max() * np.sqrt(n * np.finfo(float).eps):
+            return factor
     except np.linalg.LinAlgError:
-        return None
-    diag = np.abs(np.diagonal(factor[0]))
-    if diag.min() <= diag.max() * np.sqrt(n * np.finfo(float).eps):
-        return None
-    return factor
-
-
-def _gram_factor(gram: np.ndarray, ridge: bool):
-    factor = _try_spd_factor(gram)
-    if factor is not None:
-        return factor
-    n = gram.shape[0]
+        pass
     if not ridge:
         rank = int(np.linalg.matrix_rank(gram))
         raise SingularSystemError(f"gram matrix is rank deficient: rank {rank} of {n}")
     jitter = RIDGE_SCALE * float(np.trace(gram)) / n
     return sla.cho_factor(gram + jitter * np.eye(n), lower=True, check_finite=False)
+
+
+class NormalEquations:
+    """Sufficient statistics of the least-squares attacks.
+
+    Every least-squares attack sees a trace only through ``gram = A.T @ A``,
+    ``cross = A.T @ Y``, ``y_sq = ||Y||_F**2`` and the number of ``rounds``,
+    where ``A`` is ``U`` for a threshold mix and ``U_hat`` for a pool mix.
+    Rounds are added in blocks of rows (one row is a block of height 1).  Any
+    split of a trace into blocks gives the same sums, exactly for integer ``A``.
+    """
+
+    def __init__(self, n_senders: int, n_receivers: int):
+        self.gram = np.zeros((n_senders, n_senders))
+        self.cross = np.zeros((n_senders, n_receivers))
+        self.y_sq = 0.0
+        self.rounds = 0
+
+    @classmethod
+    def from_trace(cls, trace: Trace, f_hat=None, block: int | None = None) -> NormalEquations:
+        """Accumulate a whole trace, ``block`` rounds at a time (default: all at once)."""
+        a = expected_departures(trace, f_hat=f_hat).U_hat
+        eq = cls(trace.n_senders, trace.n_receivers)
+        step = block or trace.rho
+        for start in range(0, trace.rho, step):
+            eq.update(a[start : start + step], trace.Y[start : start + step])
+        return eq
+
+    def update(self, a_rows: np.ndarray, y_rows: np.ndarray) -> None:
+        """Add a block of rounds: its rows of the design matrix and of ``Y``."""
+        a = np.atleast_2d(np.asarray(a_rows, dtype=float))
+        y = np.atleast_2d(np.asarray(y_rows, dtype=float))
+        self.gram += a.T @ a
+        self.cross += a.T @ y
+        self.y_sq += float(np.vdot(y, y))
+        self.rounds += a.shape[0]
+
+    def solve(self, ridge: bool = False) -> np.ndarray:
+        """Solve ``gram @ P = cross`` with one Cholesky factorization."""
+        return sla.cho_solve(_gram_factor(self.gram, ridge), self.cross, check_finite=False)
+
+    def residual(self, p: np.ndarray, gp: np.ndarray | None = None) -> float:
+        """``||Y - A @ p||_F**2`` in Gram form, clamped at 0; ``gp`` may pass ``gram @ p``."""
+        gp = self.gram @ p if gp is None else gp
+        return max(self.y_sq - 2.0 * float(np.vdot(p, self.cross)) + float(np.vdot(p, gp)), 0.0)
+
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of the Gram matrix."""
+        top = len(self.gram) - 1
+        return float(sla.eigvalsh(self.gram, subset_by_index=[top, top])[0])
 
 
 def lsda(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> ProfileEstimate:
@@ -125,29 +170,9 @@ def lsda(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> 
     Gram matrix is rank deficient unless ``ridge`` enables the diagonal
     jitter fallback.
     """
-    a = design_matrix(trace, f_hat=f_hat)
-    y = trace.Y.astype(float)
-    factor = _gram_factor(a.T @ a, ridge)
-    p_hat = sla.cho_solve(factor, a.T @ y, check_finite=False)
-    residual = float(np.sum((y - a @ p_hat) ** 2))
-    return ProfileEstimate(P_hat=p_hat, method=LSDA, iterations=1, residual=residual)
-
-
-def _power_lambda_max(gram: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    n = gram.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - lam) <= tol * norm:
-            return norm
-        lam = norm
-    return lam
+    eq = NormalEquations.from_trace(trace, f_hat=f_hat)
+    p_hat = eq.solve(ridge)
+    return ProfileEstimate(P_hat=p_hat, method=LSDA, iterations=1, residual=eq.residual(p_hat))
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
@@ -182,43 +207,41 @@ def clsda(
 ) -> ProfileEstimate:
     """Simplex-constrained least-squares estimate by projected gradient.
 
-    Iterates ``P <- proj(P - mu * A.T @ (A @ P - Y))`` with
-    ``mu = step_scale / lambda_max(A.T @ A)``, projecting every sender row
-    onto the simplex after each step.  The squared prediction error is
-    checked to be non-increasing; its per-iteration values are returned in
-    ``objective_history``.  If ``tol`` is not reached within ``max_iter``
-    iterations the last iterate is returned with ``converged=False``.
+    Iterates ``P <- proj(P - mu * (G @ P - C))`` on the normal equations
+    ``G = A.T @ A``, ``C = A.T @ Y`` with ``mu = step_scale / lambda_max(G)``,
+    projecting every sender row onto the simplex after each step.  The
+    squared prediction error is checked to be non-increasing (an increase
+    raises :class:`SolverDivergedError`); its per-iteration values are
+    returned in ``objective_history``.  If ``tol`` is not reached within
+    ``max_iter`` iterations the last iterate is returned with
+    ``converged=False``.
     """
     if opts is None:
         opts = SolverOptions()
-    a = design_matrix(trace, f_hat=f_hat)
-    y = trace.Y.astype(float)
-    n_s, n_r = a.shape[1], y.shape[1]
-    gram = a.T @ a
-    cross = a.T @ y
-    y_sq = float(np.vdot(y, y))
+    eq = NormalEquations.from_trace(trace, f_hat=f_hat)
+    gram, cross = eq.gram, eq.cross
 
-    lam = _power_lambda_max(gram)
+    lam = eq.lambda_max()
     if lam <= 0.0:
         raise SingularSystemError("design matrix is identically zero")
     mu = opts.step_scale / lam
 
     if opts.init == INIT_UNIFORM:
-        p = np.full((n_s, n_r), 1.0 / n_r)
+        p = np.full(cross.shape, 1.0 / cross.shape[1])
     else:
-        p = _project_rows(lsda(trace, f_hat=f_hat).P_hat)
+        p = _project_rows(eq.solve())
 
     gp = gram @ p
-    objective = y_sq - 2.0 * float(np.vdot(p, cross)) + float(np.vdot(p, gp))
+    objective = eq.residual(p, gp)
     history = [objective]
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         p_new = _project_rows(p - mu * (gp - cross))
         gp_new = gram @ p_new
-        obj_new = y_sq - 2.0 * float(np.vdot(p_new, cross)) + float(np.vdot(p_new, gp_new))
+        obj_new = eq.residual(p_new, gp_new)
         if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
-            raise RuntimeError(
+            raise SolverDivergedError(
                 f"projected-gradient objective increased at iteration {iterations}: "
                 f"{objective!r} -> {obj_new!r}"
             )
@@ -239,71 +262,16 @@ def clsda(
     )
 
 
-class RecursiveSolver:
-    """Online normal-equation solver: one rank-1 update per round.
-
-    Rounds are fed one at a time; the Gram inverse is bootstrapped from a
-    direct factorization once enough rounds accumulated and then maintained
-    with Sherman-Morrison updates.  The final estimate matches the batch
-    solution to numerical precision.  Feeding a trace in several segments
-    gives the same result as feeding it in one shot.
-    """
-
-    def __init__(self, n_senders: int, n_receivers: int):
-        self.n_senders = n_senders
-        self.n_receivers = n_receivers
-        self._gram = np.zeros((n_senders, n_senders))
-        self._cross = np.zeros((n_senders, n_receivers))
-        self._gram_inv = None
-        self._y_sq = 0.0
-        self.rounds = 0
-
-    def process_round(self, x_row: np.ndarray, y_row: np.ndarray) -> None:
-        x = np.asarray(x_row, dtype=float)
-        y = np.asarray(y_row, dtype=float)
-        self._gram += np.outer(x, x)
-        self._cross += np.outer(x, y)
-        self._y_sq += float(y @ y)
-        self.rounds += 1
-        if self._gram_inv is None:
-            if self.rounds >= self.n_senders:
-                factor = _try_spd_factor(self._gram)
-                if factor is None:
-                    return
-                self._gram_inv = sla.cho_solve(
-                    factor, np.eye(self.n_senders), check_finite=False
-                )
-        else:
-            gx = self._gram_inv @ x
-            self._gram_inv -= np.outer(gx, gx) / (1.0 + float(x @ gx))
-
-    def finalize(self, ridge: bool = False) -> ProfileEstimate:
-        if self._gram_inv is not None:
-            p_hat = self._gram_inv @ self._cross
-        else:
-            factor = _gram_factor(self._gram, ridge)
-            p_hat = sla.cho_solve(factor, self._cross, check_finite=False)
-        residual = (
-            self._y_sq
-            - 2.0 * float(np.vdot(p_hat, self._cross))
-            + float(np.vdot(p_hat, self._gram @ p_hat))
-        )
-        return ProfileEstimate(
-            P_hat=p_hat, method=RLS, iterations=self.rounds, residual=residual
-        )
-
-
 def rls(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> ProfileEstimate:
-    """Recursive least-squares estimate, round by round.
+    """Recursive least-squares estimate: the trace streamed in blocks of rounds.
 
-    Equivalent to :func:`lsda` within numerical precision but keeps only
-    ``n_senders``-sized state instead of the full observation matrices.
+    Feeds :data:`RLS_BLOCK` rounds at a time into :class:`NormalEquations`
+    and solves once at the end; equal to :func:`lsda` within numerical
+    precision (exactly for a threshold trace).  ``iterations`` counts rounds.
     """
-    a = design_matrix(trace, f_hat=f_hat)
-    solver = RecursiveSolver(trace.n_senders, trace.n_receivers)
-    for r in range(trace.rho):
-        solver.process_round(a[r], trace.Y[r])
-    return solver.finalize(ridge=ridge)
+    eq = NormalEquations.from_trace(trace, f_hat=f_hat, block=RLS_BLOCK)
+    p = eq.solve(ridge)
+    return ProfileEstimate(P_hat=p, method=RLS, iterations=eq.rounds, residual=eq.residual(p))
 
 
 def sda(trace: Trace, t: int, n_users: int) -> np.ndarray:
@@ -314,6 +282,8 @@ def sda(trace: Trace, t: int, n_users: int) -> np.ndarray:
     ``mean_r(y_j) - (t - 1)/n_users`` per receiver ``j``.  Entries may be
     negative.
     """
+    if n_users < 1:
+        raise InvalidParameterError("n_users must be >= 1")
     x_first = trace.U[:, 0]
     bad = np.nonzero(x_first != 1)[0]
     if bad.size:
@@ -373,13 +343,15 @@ def load_estimate(path) -> ProfileEstimate:
         shape = (int(header["n_senders"]), int(header["n_receivers"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {exc}", line_no=1) from exc
-    p_hat = np.array([[float(v) for v in line.split()] for line in lines[1:]])
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError as exc:
+            raise ParseError(f"bad matrix entry: {exc}", line_no=line_no) from exc
+        if len(rows[-1]) != shape[1]:
+            raise ParseError(f"expected {shape[1]} entries, got {len(rows[-1])}", line_no=line_no)
+    p_hat = np.array(rows).reshape(len(rows), shape[1])
     if p_hat.shape != shape:
         raise ParseError(f"matrix shape {p_hat.shape} does not match header {shape}")
-    return ProfileEstimate(
-        P_hat=p_hat,
-        method=method,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
+    return ProfileEstimate(p_hat, method, iterations, residual, converged)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,10 +22,12 @@ from .errors import (
     InvalidParameterError,
     InvalidScenarioError,
     MixProfileError,
+    ParseError,
     SingularSystemError,
+    SolverDivergedError,
 )
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
-from .metrics import profile_mse_vector
+from .metrics import aggregate_repetitions, profile_mse_vector
 from .mixsim import BINOMIAL_POOL, THRESHOLD, MIX_KINDS, MixConfig, simulate_trace
 from .population import FREQ_DISTS, PROFILE_DISTS, gen_population, uniformity_stats
 from .theory import EXACT, ROUGH, predict_mse_pool, predict_mse_threshold
@@ -110,8 +112,21 @@ class ExperimentReport:
 def load_spec(path) -> ExperimentSpec:
     """Read an experiment spec file (JSON mirroring the spec fields)."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return ExperimentSpec(**doc)
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed spec JSON: {exc.msg}", line_no=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("a spec must be a JSON object", line_no=1)
+    for key in sorted(set(doc) - {f.name for f in fields(ExperimentSpec)}):
+        numbered = enumerate(text.splitlines(), 1)
+        line_no = next((n for n, line in numbered if f'"{key}"' in line), None)
+        raise ParseError(f"unknown spec field {key!r}", line_no=line_no)
+    try:
+        return ExperimentSpec(**doc)
+    except TypeError as exc:
+        raise ParseError(f"bad spec value: {exc}") from exc
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
@@ -136,6 +151,7 @@ _ERROR_LABELS = (
     (SingularSystemError, "singular-system"),
     (InvalidScenarioError, "invalid-scenario"),
     (InvalidParameterError, "invalid-parameter"),
+    (SolverDivergedError, "solver-diverged"),
 )
 
 
@@ -147,22 +163,21 @@ def _error_label(exc: Exception) -> str:
 
 
 def _run_method(method, trace, pop):
-    """Run one attack; returns (per-profile MSE vector, transition count)."""
-    full = pop.n_senders * pop.n_receivers
+    """Run one attack; returns its per-profile MSE vector."""
     if method == "lsda":
-        return profile_mse_vector(pop, lsda(trace)), full
+        return profile_mse_vector(pop, lsda(trace))
     if method == "clsda":
-        return profile_mse_vector(pop, clsda(trace)), full
+        return profile_mse_vector(pop, clsda(trace))
     if method == "rls":
-        return profile_mse_vector(pop, rls(trace)), full
+        return profile_mse_vector(pop, rls(trace))
     if method == "zclip":
-        return profile_mse_vector(pop, zero_clip(lsda(trace))), full
+        return profile_mse_vector(pop, zero_clip(lsda(trace)))
     if method == "sda":
         # the statistical attack only estimates the first sender's profile;
-        # its row reports that profile's squared error per transition
+        # its one-entry vector averages over that profile's transitions only
         estimate = sda(trace, trace.config.t, pop.n_receivers)
         diff = pop.profiles[0] - estimate
-        return np.array([float(diff @ diff)]), pop.n_receivers
+        return np.array([float(diff @ diff)])
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
@@ -223,25 +238,22 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 mse_p_theory_exact=theory_exact,
                 mse_p_theory_rough=theory_rough,
             )
-            per_rep = []
             vectors = []
             elapsed = []
             try:
                 for pop, trace in zip(pops, traces):
                     start = time.perf_counter()
-                    mse_vec, denom = _run_method(method, trace, pop)
+                    vectors.append(_run_method(method, trace, pop))
                     elapsed.append(time.perf_counter() - start)
-                    vectors.append(mse_vec)
-                    per_rep.append(mse_vec.sum() / denom)
             except MixProfileError as exc:
                 row.status = _error_label(exc)
             else:
-                arr = np.asarray(per_rep)
-                row.mse_p_mean = float(arr.mean())
-                row.mse_p_std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+                agg = aggregate_repetitions(vectors, pop.n_receivers, keep_per_repetition=True)
+                row.mse_p_mean = agg.mse_transition
+                row.mse_p_std = float(agg.per_repetition.std(ddof=1)) if spec.repetitions > 1 else 0.0
                 row.wall_ms = float(np.mean(elapsed) * 1e3)
                 if method != "sda":
-                    row.mse_i_mean = [float(v) for v in np.mean(vectors, axis=0)]
+                    row.mse_i_mean = [float(v) for v in agg.mse_profile]
             rows.append(row)
 
     metadata = {

@@ -271,6 +271,13 @@ def save_trace(trace: Trace, path) -> None:
             fh.write(f"{r} in {_sparse_pairs(trace.U[r])} out {_sparse_pairs(trace.Y[r])}\n")
 
 
+def _index(text: str, size: int) -> int:
+    """A round, sender or receiver index; a negative one would wrap around."""
+    if not 0 <= (value := int(text)) < size:
+        raise IndexError(f"index {value} outside 0..{size - 1}")
+    return value
+
+
 def load_trace(path) -> Trace:
     """Read a trace file written by :func:`save_trace`."""
     with open(path) as fh:
@@ -308,15 +315,15 @@ def load_trace(path) -> Trace:
         line_no = body_start + offset + 1
         parts = line.split()
         try:
-            r = int(parts[0])
+            r = _index(parts[0], rho)
             in_at = parts.index("in")
             out_at = parts.index("out")
             for pair in parts[in_at + 1 : out_at]:
                 i, c = pair.split(":")
-                U[r, int(i)] = int(c)
+                U[r, _index(i, n_s)] = int(c)
             for pair in parts[out_at + 1 :]:
                 j, c = pair.split(":")
-                Y[r, int(j)] = int(c)
+                Y[r, _index(j, n_r)] = int(c)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad round record: {exc}", line_no=line_no) from exc
     return Trace(U=U, Y=Y, config=MixConfig(**cfg_kwargs), seed=seed)

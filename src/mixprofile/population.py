@@ -180,7 +180,10 @@ def load_population(path) -> UserPopulation:
         for row in doc["profiles"]:
             i = int(row["user"])
             for entry in row["contacts"]:
-                profiles[i, int(entry["receiver"])] = float(entry["prob"])
-    except (KeyError, TypeError, IndexError) as exc:
+                j = int(entry["receiver"])
+                if min(i, j) < 0:  # would wrap around to the last row or column
+                    raise IndexError(f"negative index in user {i}, receiver {j}")
+                profiles[i, j] = float(entry["prob"])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed population document: {exc}") from exc
     return UserPopulation(n_s, n_r, profiles, frequencies)

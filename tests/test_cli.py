@@ -97,3 +97,23 @@ class TestPipeline:
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header.startswith("sweep_param,sweep_value,method,mse_p_mean")
         assert len([ln for ln in lines if not ln.startswith("#")]) == 3
+
+
+class TestBadInput:
+    def check_error(self, capsys, *argv, match):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert match in err
+
+    def test_spec_with_unknown_key(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{\n "n_users": 8,\n "repititions": 2\n}\n')
+        self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
+                         match="line 3: unknown spec field 'repititions'")
+
+    def test_malformed_spec_json(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"n_users": 8,, "t": 4}\n')
+        self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
+                         match="line 1: malformed spec JSON")

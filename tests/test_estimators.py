@@ -5,9 +5,12 @@ from mixprofile import (
     InvalidParameterError,
     InvalidScenarioError,
     MixConfig,
+    MixProfileError,
+    NormalEquations,
+    ParseError,
     ProfileEstimate,
-    RecursiveSolver,
     SingularSystemError,
+    SolverDivergedError,
     SolverOptions,
     Trace,
     clsda,
@@ -160,6 +163,21 @@ class TestClsda:
         assert est.iterations == 3
         assert not est.converged
 
+    def test_objective_increase_raises_library_error(self, monkeypatch):
+        # a step ten times too long makes the first projected step overshoot
+        true_lambda_max = NormalEquations.lambda_max
+        monkeypatch.setattr(NormalEquations, "lambda_max", lambda eq: true_lambda_max(eq) / 10)
+        _, trace = random_trace(n_users=10, t=5, rho=200, seed=4)
+        with pytest.raises(SolverDivergedError, match="objective increased") as info:
+            clsda(trace)
+        assert isinstance(info.value, MixProfileError)
+        assert isinstance(info.value, RuntimeError)
+
+    def test_lambda_max_matches_dense_eigenvalues(self):
+        _, trace = random_trace(n_users=10, t=5, rho=200, seed=4)
+        eq = NormalEquations.from_trace(trace)
+        assert eq.lambda_max() == pytest.approx(np.linalg.eigvalsh(eq.gram)[-1], rel=1e-12)
+
     def test_options_validated(self):
         with pytest.raises(InvalidParameterError):
             SolverOptions(step_scale=2.0)
@@ -217,14 +235,11 @@ class TestRls:
     def test_segmented_equals_one_shot(self):
         _, trace = random_trace(n_users=9, t=4, rho=120, seed=14)
         one_shot = rls(trace)
-        solver = RecursiveSolver(trace.n_senders, trace.n_receivers)
-        a = trace.U.astype(float)
-        for r in range(60):
-            solver.process_round(a[r], trace.Y[r])
-        for r in range(60, 120):
-            solver.process_round(a[r], trace.Y[r])
-        resumed = solver.finalize()
-        np.testing.assert_array_equal(resumed.P_hat, one_shot.P_hat)
+        eq = NormalEquations(trace.n_senders, trace.n_receivers)
+        eq.update(trace.U[:60], trace.Y[:60])
+        eq.update(trace.U[60:], trace.Y[60:])
+        assert eq.rounds == 120
+        np.testing.assert_array_equal(eq.solve(), one_shot.P_hat)
 
 
 class TestSda:
@@ -258,6 +273,13 @@ class TestSda:
         trace = make_trace(U, Y)
         with pytest.raises(InvalidScenarioError, match="round 1"):
             sda(trace, t=2, n_users=2)
+
+    def test_zero_users_rejected(self):
+        U = np.zeros((3, 2), dtype=int)
+        U[:, 0] = 1
+        trace = make_trace(U, U)
+        with pytest.raises(InvalidParameterError, match="n_users"):
+            sda(trace, t=1, n_users=0)
 
     def test_converges_to_target_profile(self):
         trace, profile = sda_scenario_trace(n_users=20, n_contacts=4, t=5, rho=20_000, seed=2)
@@ -297,3 +319,17 @@ class TestEstimateFile:
         assert loaded.method == est.method
         assert loaded.residual == est.residual
         assert loaded.converged == est.converged
+
+    @pytest.mark.parametrize("body, line", [
+        ("0.5 0.5\n0.5 oops\n", 3),  # non-numeric entry
+        ("0.5 0.5\n1.0\n", 3),  # ragged row
+    ])
+    def test_malformed_matrix_row(self, tmp_path, body, line):
+        path = tmp_path / "estimate.txt"
+        path.write_text(
+            "# estimate method=lsda iterations=1 residual=0 converged=True "
+            "n_senders=2 n_receivers=2\n" + body
+        )
+        with pytest.raises(ParseError, match=f"line {line}:") as info:
+            load_estimate(path)
+        assert info.value.line_no == line

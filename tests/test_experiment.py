@@ -7,6 +7,8 @@ import pytest
 from mixprofile import (
     ExperimentSpec,
     InvalidParameterError,
+    NormalEquations,
+    ParseError,
     load_spec,
     run_experiment,
     save_report_csv,
@@ -55,6 +57,19 @@ class TestSpec:
         assert load_spec(path) == spec
 
 
+    def test_spec_file_unknown_key(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "n_users": 10,\n "n_usres": 12\n}\n')
+        with pytest.raises(ParseError, match="line 3: unknown spec field 'n_usres'"):
+            load_spec(path)
+
+    def test_spec_file_malformed_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "n_users": 10,\n}\n')
+        with pytest.raises(ParseError, match="line 3:"):
+            load_spec(path)
+
+
 class TestRunExperiment:
     def test_minimal_sweep_has_one_row(self):
         report = run_experiment(tiny_spec(repetitions=1))
@@ -93,6 +108,16 @@ class TestRunExperiment:
         assert np.isnan(by_method["lsda"].mse_p_mean)
         # multinomial senders essentially never give the sda scenario
         assert by_method["sda"].status == "invalid-scenario"
+
+    def test_diverging_solver_recorded_not_raised(self, monkeypatch):
+        # a step ten times too long trips clsda's objective-increase guard
+        true_lambda_max = NormalEquations.lambda_max
+        monkeypatch.setattr(NormalEquations, "lambda_max", lambda eq: true_lambda_max(eq) / 10)
+        report = run_experiment(tiny_spec(methods=("lsda", "clsda")))
+        by_method = {row.method: row for row in report.rows}
+        assert by_method["lsda"].status == "ok"
+        assert by_method["clsda"].status == "solver-diverged"
+        assert np.isnan(by_method["clsda"].mse_p_mean)
 
     def test_pool_experiment_runs(self):
         spec = tiny_spec(mix_kind="binomial_pool", alpha=0.6, m=4, repetitions=1)

@@ -5,6 +5,7 @@ from scipy import stats as sps
 from mixprofile import (
     InvalidParameterError,
     MixConfig,
+    ParseError,
     Trace,
     UnsupportedQueryError,
     UserPopulation,
@@ -204,3 +205,15 @@ class TestTraceFile:
         np.testing.assert_array_equal(loaded.config.pool_prior, pop.frequencies)
         assert loaded.seed == 30
         assert loaded.rho == 40
+
+    @pytest.mark.parametrize("record", ["0 in -1:1 out 1:1", "-1 in 0:1 out 1:1",
+                                        "0 in 0:1 out -1:1", "2 in 0:1 out 1:1"])
+    def test_out_of_range_index_rejected(self, tmp_path, record):
+        # a negative index would silently wrap around to the last row or column
+        path = tmp_path / "trace.txt"
+        save_trace(make_trace(U=[[1, 0], [0, 1]], Y=[[0, 1], [1, 0]]), path)
+        lines = path.read_text().splitlines()
+        lines[1] = record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 2:"):
+            load_trace(path)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mixprofile import (
     InvalidParameterError,
+    ParseError,
     UserPopulation,
     gen_population,
     load_population,
@@ -124,3 +126,18 @@ class TestFileRoundTrip:
         np.testing.assert_array_equal(loaded.profiles, small_population.profiles)
         np.testing.assert_array_equal(loaded.frequencies, small_population.frequencies)
         assert loaded.n_senders == small_population.n_senders
+
+    @pytest.mark.parametrize("field", ["user", "receiver"])
+    def test_negative_index_rejected(self, tmp_path, field):
+        # a negative index would silently wrap around to the last row or column
+        doc = {"n_senders": 2, "n_receivers": 2, "frequencies": [0.5, 0.5],
+               "profiles": [{"user": 0, "contacts": [{"receiver": 0, "prob": 1.0}]},
+                            {"user": 1, "contacts": [{"receiver": 1, "prob": 1.0}]}]}
+        if field == "user":
+            doc["profiles"][1]["user"] = -1
+        else:
+            doc["profiles"][1]["contacts"][0]["receiver"] = -1
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="negative index"):
+            load_population(path)
