@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError, ParseError
-from .mixsim import GroundTruth, MixConfig, Trace
+from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs
 from .population import UserPopulation
 
 
@@ -123,13 +123,10 @@ def build_rounds(
     n_s, n_r = sender_ids.size, receiver_ids.size
 
     rounds = np.repeat(np.arange(rho), t)
-    U = np.zeros((rho, n_s), dtype=np.int64)
-    Y = np.zeros((rho, n_r), dtype=np.int64)
-    np.add.at(U, (rounds, senders), 1)
-    np.add.at(Y, (rounds, receivers), 1)
+    U = _count_pairs(rounds, senders, (rho, n_s))
+    Y = _count_pairs(rounds, receivers, (rho, n_r))
 
-    pair_counts = np.zeros((n_s, n_r))
-    np.add.at(pair_counts, (senders, receivers), 1)
+    pair_counts = _count_pairs(senders, receivers, (n_s, n_r)).astype(float)
     sent_total = pair_counts.sum(axis=1)
     profiles = pair_counts / sent_total[:, None]
     frequencies = sent_total / n_batched

@@ -1,11 +1,13 @@
-"""Round-by-round simulation of threshold and binomial pool mixes.
+"""Simulation of threshold and binomial pool mixes.
 
 Each round the mix collects exactly ``t`` messages.  A threshold mix fires
 all of them immediately; a binomial pool mix holds every collected message
 in a pool and, once the ``t`` arrivals of the round are in, lets each pooled
-message leave independently with probability ``alpha``.  The simulator
-produces the observable input/output count matrices together with optional
-hidden per-message routing for validation.
+message leave independently with probability ``alpha``.  A pooled message's
+delay is therefore geometric, so the simulator draws the whole trace at once:
+senders, recipients and one delay per message.  It produces the observable
+input/output count matrices together with optional hidden per-message
+routing for validation.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ class Trace:
         if self.config.kind == THRESHOLD:
             if np.any(self.Y.sum(axis=1) != t):
                 raise InvalidParameterError(f"every threshold Y row must sum to t={t}")
-        elif self.final_pool_size < 0:
-            raise InvalidParameterError("pool trace delivers more messages than entered")
+        elif np.any(np.cumsum(self.Y.sum(axis=1)) > self.config.m + t * np.arange(1, self.rho + 1)):
+            raise InvalidParameterError("pool trace delivers more messages than have entered")
 
 
-def _draw_recipients(profile_cdf: np.ndarray, senders: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF draw per message; cdf rows end exactly at 1.0
-    return np.sum(profile_cdf[senders] < u[:, None], axis=1)
+def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Count matrix ``C[r, c]`` of how often each (row, column) index pair occurs."""
+    n_rows, n_cols = shape
+    return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols).reshape(shape)
 
 
 def simulate_trace(
@@ -155,15 +158,17 @@ def simulate_trace(
 ) -> Trace:
     """Simulate ``rho`` rounds of mixing over ``pop``.
 
-    Per round the senders are one multinomial draw of ``t`` trials from the
-    sending frequencies and each message's recipient is drawn independently
-    from its sender's profile row.  For a pool mix the ``m`` initial pool
-    messages get senders from a single multinomial draw over ``pool_prior``
-    and pool departures are evaluated message by message in insertion order.
+    The whole trace is drawn at once.  Each round's senders are one
+    multinomial draw of ``t`` trials from the sending frequencies, and each
+    message's recipient is drawn independently from its sender's profile row.
+    For a pool mix the ``m`` initial pool messages get senders from a single
+    multinomial draw over ``pool_prior``, and every message gets a geometric
+    delay: it leaves in each round from its entry on (round 0 for the initial
+    pool) with probability ``alpha``.
 
-    Identical arguments yield bit-identical traces, and a pool mix with
-    ``alpha=1, m=0`` reproduces the threshold mix output exactly (the
-    departure draws live on their own substream).
+    Identical arguments yield bit-identical traces, extending ``rho`` keeps
+    the earlier rounds, and a pool mix with ``alpha=1, m=0`` reproduces the
+    threshold mix output exactly (the delays live on their own substream).
     """
     if rho < 1:
         raise InvalidParameterError("rho must be >= 1")
@@ -179,45 +184,28 @@ def simulate_trace(
     cdf = np.cumsum(pop.profiles, axis=1)
     cdf[:, -1] = 1.0
 
-    gen_send = _substream(seed, _SS_SENDERS)
-    gen_recv = _substream(seed, _SS_RECIPIENTS)
-    gen_dep = _substream(seed, _SS_DEPARTURES) if pool else None
+    # message order: the initial pool, then round by round with senders ascending
+    U = _substream(seed, _SS_SENDERS).multinomial(t, pop.frequencies, size=rho)
+    counts0 = _substream(seed, _SS_INITIAL_POOL).multinomial(m, config.pool_prior) if m else 0
+    nz = np.flatnonzero(U)
+    src = np.concatenate([np.repeat(np.arange(n_s), counts0), np.repeat(nz % n_s, U.ravel()[nz])])
+    entry = np.concatenate([np.full(m, -1), np.repeat(np.arange(rho), t)])
 
-    total = m + rho * t
-    src = np.empty(total, dtype=np.int64)
-    dst = np.empty(total, dtype=np.int64)
-    entry = np.empty(total, dtype=np.int64)
-    exit_ = np.full(total, -1, dtype=np.int64)
+    # inverse-CDF recipient draw, one searchsorted per sender's profile row
+    u = _substream(seed, _SS_RECIPIENTS).random(src.size)
+    dst = np.empty(src.size, dtype=np.int64)
+    starts = np.cumsum(np.bincount(src, minlength=n_s))[:-1]
+    for i, idx in enumerate(np.split(np.argsort(src), starts)):
+        dst[idx] = np.searchsorted(cdf[i], u[idx], side="left")
 
-    if pool and m > 0:
-        counts0 = _substream(seed, _SS_INITIAL_POOL).multinomial(m, config.pool_prior)
-        src[:m] = np.repeat(np.arange(n_s), counts0)
-        dst[:m] = _draw_recipients(cdf, src[:m], gen_recv.random(m))
-        entry[:m] = -1
-
-    U = np.zeros((rho, n_s), dtype=np.int64)
-    Y = np.zeros((rho, n_r), dtype=np.int64)
-    pending = np.arange(m)  # message ids waiting in the pool, insertion order
-    cursor = m
-    senders_idx = np.arange(n_s)
-    for r in range(rho):
-        x = gen_send.multinomial(t, pop.frequencies)
-        U[r] = x
-        sl = slice(cursor, cursor + t)
-        src[sl] = np.repeat(senders_idx, x)
-        dst[sl] = _draw_recipients(cdf, src[sl], gen_recv.random(t))
-        entry[sl] = r
-        if pool:
-            pending = np.concatenate([pending, np.arange(cursor, cursor + t)])
-            stays = gen_dep.random(pending.size) >= config.alpha
-            fired = pending[~stays]
-            exit_[fired] = r
-            Y[r] = np.bincount(dst[fired], minlength=n_r)
-            pending = pending[stays]
-        else:
-            exit_[sl] = r
-            Y[r] = np.bincount(dst[sl], minlength=n_r)
-        cursor += t
+    if pool:
+        delay = _substream(seed, _SS_DEPARTURES).geometric(config.alpha, size=src.size) - 1
+        exit_ = np.maximum(entry, 0) + delay
+        exit_[exit_ >= rho] = -1
+    else:
+        exit_ = entry
+    delivered = exit_ >= 0
+    Y = _count_pairs(exit_[delivered], dst[delivered], (rho, n_r))
 
     gt = GroundTruth(src, dst, entry, exit_) if record_ground_truth else None
     return Trace(U=U, Y=Y, config=config, seed=seed, ground_truth=gt)
@@ -279,7 +267,11 @@ def _index(text: str, size: int) -> int:
 
 
 def load_trace(path) -> Trace:
-    """Read a trace file written by :func:`save_trace`."""
+    """Read a trace file written by :func:`save_trace`.
+
+    Every round ``0 .. rho-1`` needs exactly one line; a malformed, repeated
+    or missing round line raises :class:`ParseError`.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# mixtrace "):
@@ -304,18 +296,24 @@ def load_trace(path) -> Trace:
 
     body_start = 1
     if len(lines) > 1 and lines[1].startswith("# pool_prior "):
-        cfg_kwargs["pool_prior"] = np.array(
-            [float(v) for v in lines[1][len("# pool_prior ") :].split()]
-        )
+        try:
+            prior = [float(v) for v in lines[1][len("# pool_prior ") :].split()]
+        except ValueError as exc:
+            raise ParseError(f"bad pool_prior: {exc}", line_no=2) from exc
+        cfg_kwargs["pool_prior"] = np.array(prior)
         body_start = 2
 
     U = np.zeros((rho, n_s), dtype=np.int64)
     Y = np.zeros((rho, n_r), dtype=np.int64)
+    seen = np.zeros(rho, dtype=bool)
     for offset, line in enumerate(lines[body_start:]):
         line_no = body_start + offset + 1
         parts = line.split()
         try:
             r = _index(parts[0], rho)
+            if seen[r]:
+                raise ValueError(f"round {r} already listed")
+            seen[r] = True
             in_at = parts.index("in")
             out_at = parts.index("out")
             for pair in parts[in_at + 1 : out_at]:
@@ -326,4 +324,6 @@ def load_trace(path) -> Trace:
                 Y[r, _index(j, n_r)] = int(c)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad round record: {exc}", line_no=line_no) from exc
+    if not seen.all():
+        raise ParseError(f"no line for round {int(np.argmin(seen))}")
     return Trace(U=U, Y=Y, config=MixConfig(**cfg_kwargs), seed=seed)

@@ -16,7 +16,25 @@ from mixprofile import (
     simulate_trace,
 )
 
+from mixprofile.mixsim import _SS_RECIPIENTS, _SS_SENDERS, _substream
+
 from conftest import make_trace
+
+
+def round_by_round_threshold(pop, t, rho, seed):
+    """Reference threshold simulator: one multinomial and one recipient block per round."""
+    gen_send = _substream(seed, _SS_SENDERS)
+    gen_recv = _substream(seed, _SS_RECIPIENTS)
+    cdf = np.cumsum(pop.profiles, axis=1)
+    cdf[:, -1] = 1.0
+    U = np.zeros((rho, pop.n_senders), dtype=np.int64)
+    Y = np.zeros((rho, pop.n_receivers), dtype=np.int64)
+    for r in range(rho):
+        U[r] = gen_send.multinomial(t, pop.frequencies)
+        src = np.repeat(np.arange(pop.n_senders), U[r])
+        dst = np.sum(cdf[src] < gen_recv.random(t)[:, None], axis=1)
+        Y[r] = np.bincount(dst, minlength=pop.n_receivers)
+    return U, Y
 
 
 def two_user_population(f0=1.0):
@@ -60,6 +78,14 @@ class TestThresholdSimulation:
         np.testing.assert_array_equal(a.Y, b.Y)
         np.testing.assert_array_equal(a.ground_truth.exit_rounds, b.ground_truth.exit_rounds)
 
+    @pytest.mark.parametrize("n_users, profile_dist, t", [(7, "uniform", 1), (40, "zipf", 10)])
+    def test_matches_round_by_round_reference(self, n_users, profile_dist, t):
+        pop = gen_population(n_users, n_users // 3, profile_dist, "uniform", seed=n_users)
+        trace = simulate_trace(pop, MixConfig(kind="threshold", t=t), rho=300, seed=11)
+        U, Y = round_by_round_threshold(pop, t, rho=300, seed=11)
+        np.testing.assert_array_equal(trace.U, U)
+        np.testing.assert_array_equal(trace.Y, Y)
+
     def test_extending_rho_keeps_earlier_rounds(self):
         pop = gen_population(15, 5, "zipf", "uniform", seed=4)
         cfg = MixConfig(kind="binomial_pool", t=4, alpha=0.5)
@@ -70,10 +96,17 @@ class TestThresholdSimulation:
         # rows of the short run only miss what arrives after its horizon
         np.testing.assert_array_equal(long.Y[:40], short.Y)
 
-    def test_ground_truth_matches_counts(self):
+    @pytest.mark.parametrize("kind, alpha, m", [("threshold", 1.0, 0), ("binomial_pool", 0.4, 7)],
+                             ids=["threshold", "pool"])
+    def test_ground_truth_matches_counts(self, kind, alpha, m):
         pop = gen_population(12, 4, "zipf", "uniform", seed=6)
-        trace = simulate_trace(pop, MixConfig(kind="threshold", t=5), rho=60, seed=3)
+        prior = pop.frequencies if m else None
+        cfg = MixConfig(kind=kind, t=5, alpha=alpha, m=m, pool_prior=prior)
+        trace = simulate_trace(pop, cfg, rho=60, seed=3)
         gt = trace.ground_truth
+        assert int(np.sum(gt.entry_rounds == -1)) == m
+        left = gt.exit_rounds != -1
+        assert np.all(gt.exit_rounds[left] >= np.maximum(gt.entry_rounds[left], 0))
         for r in range(trace.rho):
             sent = np.bincount(gt.senders[gt.entry_rounds == r], minlength=12)
             np.testing.assert_array_equal(sent, trace.U[r])
@@ -143,6 +176,14 @@ class TestPoolSimulation:
         _, p_value = sps.chisquare(obs, exp)
         assert p_value >= 0.01
 
+    def test_initial_pool_leaves_from_round_zero(self):
+        # each initial pool message already faces the round-0 departure draw
+        pop = gen_population(6, 2, "zipf", "uniform", seed=0)
+        cfg = MixConfig(kind="binomial_pool", t=1, alpha=0.3, m=20_000, pool_prior=pop.frequencies)
+        gt = simulate_trace(pop, cfg, rho=2, seed=5).ground_truth
+        first = gt.exit_rounds[gt.entry_rounds == -1] == 0
+        assert first.mean() == pytest.approx(0.3, abs=4 * np.sqrt(0.3 * 0.7 / 20_000))
+
     def test_requires_prior_when_pool_nonempty(self):
         pop = gen_population(5, 2, "zipf", "uniform", seed=0)
         cfg = MixConfig(kind="binomial_pool", t=3, alpha=0.5, m=4)
@@ -188,6 +229,13 @@ class TestTraceValidation:
         with pytest.raises(InvalidParameterError):
             make_trace(U=[[1, 1], [1, 1]], Y=[[2, 1], [1, 0]])
 
+    def test_pool_cannot_deliver_before_arrival(self):
+        # 3 deliveries in round 0 exceed the 1 message entered so far, although
+        # the final pool size (4 entered, 3 delivered) is non-negative
+        with pytest.raises(InvalidParameterError, match="entered"):
+            make_trace(U=[[1, 0]] * 4, Y=[[2, 1], [0, 0], [0, 0], [0, 0]],
+                       kind="binomial_pool", alpha=0.5)
+
 
 class TestTraceFile:
     def test_round_trip(self, tmp_path):
@@ -216,4 +264,32 @@ class TestTraceFile:
         lines[1] = record
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 2:"):
+            load_trace(path)
+    def _pool_file(self, tmp_path):
+        """A saved 3-round pool trace file (header, prior, rounds 0-2) and its lines."""
+        pop = gen_population(4, 2, "zipf", "uniform", seed=1)
+        cfg = MixConfig(kind="binomial_pool", t=2, alpha=0.5, m=2, pool_prior=pop.frequencies)
+        path = tmp_path / "trace.txt"
+        save_trace(simulate_trace(pop, cfg, rho=3, seed=4), path)
+        return path, path.read_text().splitlines()
+
+    def test_non_numeric_pool_prior_rejected(self, tmp_path):
+        path, lines = self._pool_file(tmp_path)
+        lines[1] = "# pool_prior 0.5 x 0.25 0.25"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 2:"):
+            load_trace(path)
+
+    def test_duplicate_round_line_rejected(self, tmp_path):
+        path, lines = self._pool_file(tmp_path)
+        lines.insert(4, lines[3])  # a second line for round 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 5:.*round 1"):
+            load_trace(path)
+
+    def test_missing_round_line_rejected(self, tmp_path):
+        path, lines = self._pool_file(tmp_path)
+        del lines[3]  # the line for round 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="round 1"):
             load_trace(path)
