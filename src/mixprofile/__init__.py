@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     EmptyLogError,
@@ -54,7 +54,7 @@ from .mixsim import (
     save_trace,
     simulate_trace,
 )
-from .observe import ExpectedDepartures, convolution_matrix, expected_departures
+from .observe import ExpectedDepartures, expected_departures
 from .population import (
     UniformityStats,
     UserPopulation,

@@ -168,9 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--method", choices=("lsda", "clsda", "rls", "sda", "zclip"), default="lsda")
     p.add_argument("--ridge", action="store_true", help="regularize singular systems")
-    p.add_argument("--step-scale", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument(
+        "--step-scale", type=float, default=1.0,
+        help="clsda step as a multiple of 1/lambda_max of the Gram matrix, in (0, 2); "
+        "up to 1 keeps the accelerated rate",
+    )
+    p.add_argument(
+        "--max-iter", type=int, default=5000,
+        help="clsda iteration cap; the estimate is flagged converged=False if it is reached",
+    )
+    p.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="clsda stops when the relative change of the accepted iterate is at most this",
+    )
     p.add_argument("--init", choices=("uniform", "unconstrained_projected"), default="uniform")
     _common(p)
     p.set_defaults(func=_cmd_attack)

@@ -64,12 +64,18 @@ class ProfileEstimate:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options for the projected-gradient solver.
+    """Options for :func:`clsda`'s accelerated projected-gradient solver.
 
     The step size is ``step_scale / lambda_max`` where ``lambda_max`` is the
-    largest eigenvalue of the Gram matrix; ``step_scale`` must stay below 2
-    for the iteration to converge.  ``tol`` bounds the relative Frobenius
-    change of the iterate between iterations.
+    largest eigenvalue of the Gram matrix.  ``step_scale <= 1`` is the range
+    in which the accelerated (momentum) steps converge at their fast rate;
+    up to 2 the plain steps still decrease the objective, and momentum steps
+    that overshoot are replaced by plain ones.  The solver stops once the
+    relative Frobenius change of the accepted iterate, ``|P_{k+1} - P_k| / |P_k|``,
+    is at most ``tol``, as for plain projected gradient.  ``max_iter`` caps
+    the iterations (a momentum step replaced by a plain one counts once).
+    ``init`` picks the start: the uniform profile, or the unconstrained
+    least-squares solution projected onto the simplex.
     """
 
     step_scale: float = 1.0
@@ -205,16 +211,29 @@ def clsda(
     opts: SolverOptions | None = None,
     f_hat: np.ndarray | None = None,
 ) -> ProfileEstimate:
-    """Simplex-constrained least-squares estimate by projected gradient.
+    """Simplex-constrained least-squares estimate by accelerated projected gradient.
 
-    Iterates ``P <- proj(P - mu * (G @ P - C))`` on the normal equations
-    ``G = A.T @ A``, ``C = A.T @ Y`` with ``mu = step_scale / lambda_max(G)``,
-    projecting every sender row onto the simplex after each step.  The
-    squared prediction error is checked to be non-increasing (an increase
-    raises :class:`SolverDivergedError`); its per-iteration values are
-    returned in ``objective_history``.  If ``tol`` is not reached within
-    ``max_iter`` iterations the last iterate is returned with
-    ``converged=False``.
+    Minimises ``||Y - A @ P||_F**2`` with every sender row of ``P`` on the
+    probability simplex, working only on the normal equations
+    ``G = A.T @ A``, ``C = A.T @ Y``.  Iteration ``k`` extrapolates
+    ``Z = P_k + beta_k * (P_k - P_{k-1})`` with the FISTA momentum
+    ``beta_k = (t_k - 1) / t_{k+1}``, ``t_{k+1} = (1 + sqrt(1 + 4 t_k**2)) / 2``,
+    ``t_1 = 1`` (Beck & Teboulle 2009), and steps
+    ``P_{k+1} = proj(Z - mu * (G @ Z - C))`` with
+    ``mu = step_scale / lambda_max(G)``.  ``G @ Z`` is the same combination of
+    the stored ``G @ P_k`` and ``G @ P_{k-1}``, so an iteration costs one Gram
+    product and one projection.
+
+    The momentum restarts (``t = 1``, so the next step is plain) when the
+    step turns back against the last move, ``<Z - P_{k+1}, P_{k+1} - P_k> > 0``
+    (gradient restart; O'Donoghue & Candès 2015), and when a momentum step
+    raises the objective: that iteration then takes a plain projected-gradient
+    step from ``P_k`` instead.  Accepted objective values, returned in
+    ``objective_history``, therefore never increase beyond rounding; a plain
+    step that raises the objective raises :class:`SolverDivergedError`.  The
+    run stops when the relative Frobenius change of the accepted iterate is at
+    most ``tol``; if that does not happen within ``max_iter`` iterations the
+    last iterate is returned with ``converged=False``.
     """
     if opts is None:
         opts = SolverOptions()
@@ -226,6 +245,11 @@ def clsda(
         raise SingularSystemError("design matrix is identically zero")
     mu = opts.step_scale / lam
 
+    def projected_step(z, gz):
+        p = _project_rows(z - mu * (gz - cross))
+        gp = gram @ p
+        return p, gp, eq.residual(p, gp)
+
     if opts.init == INIT_UNIFORM:
         p = np.full(cross.shape, 1.0 / cross.shape[1])
     else:
@@ -233,20 +257,30 @@ def clsda(
 
     gp = gram @ p
     objective = eq.residual(p, gp)
+    p_prev, gp_prev, t = p, gp, 1.0
     history = [objective]
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        p_new = _project_rows(p - mu * (gp - cross))
-        gp_new = gram @ p_new
-        obj_new = eq.residual(p_new, gp_new)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        z, gz = p + beta * (p - p_prev), gp + beta * (gp - gp_prev)
+        p_new, gp_new, obj_new = projected_step(z, gz)
+        if beta > 0.0 and obj_new > objective:
+            # the momentum overshot: drop it and redo the step from P_k; only a
+            # plain step's rise is judged by the divergence guard below
+            t_next, z = 1.0, p
+            p_new, gp_new, obj_new = projected_step(p, gp)
         if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
             raise SolverDivergedError(
                 f"projected-gradient objective increased at iteration {iterations}: "
                 f"{objective!r} -> {obj_new!r}"
             )
+        if np.vdot(z - p_new, p_new - p) > 0.0:
+            t_next = 1.0
         step = float(np.linalg.norm(p_new - p)) / max(float(np.linalg.norm(p)), 1e-300)
-        p, gp, objective = p_new, gp_new, obj_new
+        p_prev, gp_prev = p, gp
+        p, gp, objective, t = p_new, gp_new, obj_new, t_next
         history.append(objective)
         if step <= opts.tol:
             converged = True

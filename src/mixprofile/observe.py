@@ -25,20 +25,6 @@ class ExpectedDepartures:
     U_hat: np.ndarray
 
 
-def convolution_matrix(alpha: float, rho: int) -> np.ndarray:
-    """Lower-triangular matrix ``B`` with ``B[r, k] = alpha*(1-alpha)**(r-k)``.
-
-    ``B @ x`` turns a per-round arrival vector into per-round expected
-    departures.  ``alpha = 1`` gives the identity.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1]")
-    if rho < 1:
-        raise InvalidParameterError("rho must be >= 1")
-    lag = np.arange(rho)[:, None] - np.arange(rho)[None, :]
-    return np.where(lag >= 0, alpha * (1.0 - alpha) ** np.maximum(lag, 0), 0.0)
-
-
 def expected_departures(trace: Trace, f_hat: np.ndarray | None = None) -> ExpectedDepartures:
     """Expected departures ``U_hat`` for a trace.
 
@@ -49,7 +35,8 @@ def expected_departures(trace: Trace, f_hat: np.ndarray | None = None) -> Expect
         ``u_hat[r] = (1 - alpha) * u_hat[r-1] + alpha * U[r]``
 
     is evaluated per sender in O(rho * n_senders); it equals the matrix form
-    ``B @ (U + N0)`` where ``N0`` carries ``m * f_hat`` in its first row.
+    ``B @ (U + N0)`` with the lower-triangular ``B[r, k] = alpha * (1 - alpha)**(r - k)``,
+    where ``N0`` carries ``m * f_hat`` in its first row.
     ``f_hat`` is the adversary's estimate of the initial pool composition and
     defaults to the prior stored in the trace configuration.
     """

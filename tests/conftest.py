@@ -37,16 +37,17 @@ def sda_scenario_trace(n_users, n_contacts, t, rho, seed):
     profile0 = np.zeros(n_users)
     profile0[contacts] = 1.0 / n_contacts
 
-    U = np.zeros((rho, n_users), dtype=np.int64)
-    Y = np.zeros((rho, n_users), dtype=np.int64)
-    U[:, 0] = 1
-    for r in range(rho):
-        others = rng.integers(1, n_users, size=t - 1)
-        np.add.at(U[r], others, 1)
-        alice_to = rng.choice(contacts)
-        Y[r, alice_to] += 1
-        background = rng.integers(0, n_users, size=t - 1)
-        np.add.at(Y[r], background, 1)
+    others = rng.integers(1, n_users, size=(rho, t - 1))
+    alice_to = rng.choice(contacts, size=rho)
+    background = rng.integers(0, n_users, size=(rho, t - 1))
+
+    def counts(columns):
+        # (rho, k) indices -> (rho, n_users) per-round counts
+        flat = np.arange(rho)[:, None] * n_users + columns
+        return np.bincount(flat.ravel(), minlength=rho * n_users).reshape(rho, n_users)
+
+    U = counts(np.column_stack([np.zeros(rho, dtype=np.int64), others]))
+    Y = counts(np.column_stack([alice_to, background]))
     trace = Trace(U=U, Y=Y, config=MixConfig(kind="threshold", t=t), seed=seed)
     return trace, profile0
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixprofile import (
     InvalidParameterError,
@@ -23,6 +26,7 @@ from mixprofile import (
     simulate_trace,
     zero_clip,
 )
+from mixprofile.estimators import _project_rows
 
 from conftest import make_trace, random_trace, sda_scenario_trace
 
@@ -38,6 +42,34 @@ def project_simplex_oracle(v, tol=1e-12):
         else:
             hi = mid
     return np.maximum(v - (lo + hi) / 2, 0)
+
+
+def plain_projected_gradient(trace, tol, max_iter=100_000):
+    """Reference solver: unaccelerated projected gradient from the uniform start.
+
+    ``P <- proj(P - (G @ P - C) / lambda_max(G))`` until the relative change of
+    the iterate is at most ``tol``; returns the iterate and the iteration count.
+    """
+    eq = NormalEquations.from_trace(trace)
+    mu = 1.0 / eq.lambda_max()
+    p = np.full(eq.cross.shape, 1.0 / eq.cross.shape[1])
+    for iterations in range(1, max_iter + 1):
+        p_new = _project_rows(p - mu * (eq.gram @ p - eq.cross))
+        step = np.linalg.norm(p_new - p) / np.linalg.norm(p)
+        p = p_new
+        if step <= tol:
+            return p, iterations
+    raise AssertionError(f"reference did not reach tol={tol} in {max_iter} iterations")
+
+
+def small_pool_trace():
+    _, trace = random_trace(n_users=12, t=5, rho=400, seed=5, kind="binomial_pool", alpha=0.5, m=5)
+    return trace
+
+
+def assert_non_increasing(history):
+    diffs = np.diff(history)
+    assert np.all(diffs <= 1e-9 * (1 + np.abs(history[:-1])))
 
 
 class TestLsda:
@@ -140,9 +172,22 @@ class TestClsda:
 
     def test_objective_monotonically_non_increasing(self):
         _, trace = random_trace(n_users=10, t=5, rho=200, seed=6)
+        assert_non_increasing(clsda(trace).objective_history)
+
+    def test_objective_non_increasing_on_pool_trace(self):
+        assert_non_increasing(clsda(small_pool_trace()).objective_history)
+
+    def test_reaches_plain_projected_gradient_fixed_point(self):
+        trace = small_pool_trace()
+        reference, _ = plain_projected_gradient(trace, tol=1e-13)
+        assert np.abs(clsda(trace).P_hat - reference).max() <= 1e-7
+
+    def test_takes_at_most_half_the_plain_iterations(self):
+        trace = small_pool_trace()
         est = clsda(trace)
-        diffs = np.diff(est.objective_history)
-        assert np.all(diffs <= 1e-9 * (1 + np.abs(est.objective_history[:-1])))
+        _, plain_iterations = plain_projected_gradient(trace, tol=SolverOptions().tol)
+        assert est.converged
+        assert est.iterations <= plain_iterations / 2
 
     def test_not_worse_than_unconstrained(self):
         for seed in range(3):
@@ -211,6 +256,53 @@ class TestProjectSimplex:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             project_simplex([np.nan, 0.5])
+
+
+#: rows of up to 9 entries in [-1e3, 1e3]
+MATRICES = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+    elements=st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+PROJECTION = settings(max_examples=200, deadline=None)
+
+
+def rounding_tol(v):
+    """Rounding bound of a projected row's entries: a few ulps of ``|v|`` per entry."""
+    return 16 * v.shape[1] * np.finfo(float).eps * (1.0 + np.abs(v).max())
+
+
+class TestProjectionProperties:
+    @PROJECTION
+    @given(v=MATRICES)
+    def test_rows_are_projected_one_by_one(self, v):
+        p = _project_rows(v)
+        for row, got in zip(v, p):
+            np.testing.assert_array_equal(project_simplex(row), got)
+
+    @PROJECTION
+    @given(v=MATRICES)
+    def test_output_is_feasible(self, v):
+        p = _project_rows(v)
+        assert np.all(p >= 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=rounding_tol(v))
+
+    @PROJECTION
+    @given(v=MATRICES)
+    def test_projection_is_idempotent(self, v):
+        p = _project_rows(v)
+        np.testing.assert_allclose(_project_rows(p), p, rtol=0, atol=rounding_tol(v))
+
+    @PROJECTION
+    @given(v=MATRICES)
+    def test_kkt_holds_at_every_vertex(self, v):
+        # p is the projection iff <v - p, q - p> <= 0 for every q on the simplex;
+        # the inner product is linear in q, so the vertices e_j are enough.  Its
+        # rounding is |v - p| (up to |v|) times the rounding of p.
+        p = _project_rows(v)
+        r = v - p
+        gap = r - np.sum(r * p, axis=1, keepdims=True)  # <v - p, e_j - p> for every j
+        assert np.all(gap <= rounding_tol(v) * (1.0 + np.abs(v).max()))
 
 
 class TestRls:
