@@ -358,8 +358,8 @@ def save_estimate(est: ProfileEstimate, path) -> None:
             f"residual={est.residual:.17g} converged={est.converged} "
             f"n_senders={est.P_hat.shape[0]} n_receivers={est.P_hat.shape[1]}\n"
         )
-        for row in est.P_hat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        row_format = " ".join(["%.17g"] * est.P_hat.shape[1]) + "\n"
+        fh.writelines(row_format % tuple(row) for row in est.P_hat.tolist())
 
 
 def load_estimate(path) -> ProfileEstimate:
@@ -386,6 +386,8 @@ def load_estimate(path) -> ProfileEstimate:
         if len(rows[-1]) != shape[1]:
             raise ParseError(f"expected {shape[1]} entries, got {len(rows[-1])}", line_no=line_no)
     p_hat = np.array(rows).reshape(len(rows), shape[1])
+    if not (finite := np.isfinite(p_hat).all(axis=1)).all():
+        raise ParseError("non-finite matrix entry", line_no=int(np.argmin(finite)) + 2)
     if p_hat.shape != shape:
         raise ParseError(f"matrix shape {p_hat.shape} does not match header {shape}")
     return ProfileEstimate(p_hat, method, iterations, residual, converged)

@@ -133,14 +133,22 @@ class Trace:
             raise InvalidParameterError("a trace needs at least one round")
         if np.any(self.U < 0) or np.any(self.Y < 0):
             raise InvalidParameterError("counts must be non-negative")
-        t = self.config.t
-        if np.any(self.U.sum(axis=1) != t):
-            raise InvalidParameterError(f"every U row must sum to t={t}")
-        if self.config.kind == THRESHOLD:
-            if np.any(self.Y.sum(axis=1) != t):
-                raise InvalidParameterError(f"every threshold Y row must sum to t={t}")
-        elif np.any(np.cumsum(self.Y.sum(axis=1)) > self.config.m + t * np.arange(1, self.rho + 1)):
-            raise InvalidParameterError("pool trace delivers more messages than have entered")
+        for bad, message in _count_rules(self.U, self.Y, self.config):
+            if bad.any():
+                raise InvalidParameterError(message)
+
+
+def _count_rules(U: np.ndarray, Y: np.ndarray, config: MixConfig) -> list:
+    """``(rounds that break it, message)`` for each rule a trace's row sums obey."""
+    t = config.t
+    rules = [(U.sum(axis=1) != t, f"every U row must sum to t={t}")]
+    if config.kind == THRESHOLD:
+        rules.append((Y.sum(axis=1) != t, f"every threshold Y row must sum to t={t}"))
+    else:
+        entered = config.m + t * np.arange(1, U.shape[0] + 1)
+        rules.append((np.cumsum(Y.sum(axis=1)) > entered,
+                      "pool trace delivers more messages than have entered"))
+    return rules
 
 
 def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -233,18 +241,32 @@ def delay_stats(trace: Trace) -> dict:
     return {"mean_delay_rounds": mean, "delay_histogram": histogram}
 
 
-def _sparse_pairs(row: np.ndarray) -> str:
-    (nz,) = np.nonzero(row)
-    return " ".join(f"{int(i)}:{int(row[i])}" for i in nz)
+#: rounds formatted at a time, so writing holds O(block) text whatever rho is
+_SAVE_BLOCK = 4096
+
+
+def _pair_lines(mat: np.ndarray) -> list[str]:
+    """The ``"i:c i:c ..."`` text of each row's non-zero counts, in column order."""
+    n_cols = mat.shape[1]
+    flat = np.flatnonzero(mat)
+    counts = mat.ravel()[flat]
+    base = int(counts.max()) + 1 if flat.size else 1
+    # each "column:count" string is formatted once and looked up per token
+    keys, inverse = np.unique(flat % n_cols * base + counts, return_inverse=True)
+    table = np.array([f"{k // base}:{k % base}" for k in keys.tolist()], dtype=object)
+    tokens = table[inverse].tolist()
+    ends = np.searchsorted(flat, np.arange(1, mat.shape[0] + 1) * n_cols).tolist()
+    return [" ".join(tokens[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def save_trace(trace: Trace, path) -> None:
     """Write a trace file: one header line plus one line per round.
 
     Each round line is ``<round> in <user>:<count> ... out <user>:<count> ...``
-    with only non-zero counts listed.  Ground truth is not serialized.  When
-    the mix has a non-empty initial pool the prior follows on a second header
-    line so the file stays self-contained for the pool estimators.
+    with only non-zero counts listed, users ascending.  Ground truth is not
+    serialized.  When the mix has a non-empty initial pool the prior follows
+    on a second header line so the file stays self-contained for the pool
+    estimators.
     """
     cfg = trace.config
     with open(path, "w") as fh:
@@ -255,23 +277,32 @@ def save_trace(trace: Trace, path) -> None:
         )
         if cfg.m > 0 and cfg.pool_prior is not None:
             fh.write("# pool_prior " + " ".join(repr(float(p)) for p in cfg.pool_prior) + "\n")
-        for r in range(trace.rho):
-            fh.write(f"{r} in {_sparse_pairs(trace.U[r])} out {_sparse_pairs(trace.Y[r])}\n")
+        for start in range(0, trace.rho, _SAVE_BLOCK):
+            block = slice(start, start + _SAVE_BLOCK)
+            pairs = zip(_pair_lines(trace.U[block]), _pair_lines(trace.Y[block]))
+            fh.writelines(f"{r} in {u} out {y}\n" for r, (u, y) in enumerate(pairs, start))
 
 
-def _index(text: str, size: int) -> int:
-    """A round, sender or receiver index; a negative one would wrap around."""
-    if not 0 <= (value := int(text)) < size:
-        raise IndexError(f"index {value} outside 0..{size - 1}")
-    return value
+@dataclass(frozen=True)
+class _TraceFile:
+    """A trace file's lines and what its header lines say."""
+
+    lines: list
+    body_start: int  # index in ``lines`` of the first round line
+    rho: int
+    n_senders: int
+    n_receivers: int
+    config: MixConfig
+    seed: int
+
+    @property
+    def count_cap(self) -> int:
+        """No count in a valid trace exceeds the messages that can have entered the mix."""
+        return self.config.m + self.config.t * self.rho
 
 
-def load_trace(path) -> Trace:
-    """Read a trace file written by :func:`save_trace`.
-
-    Every round ``0 .. rho-1`` needs exactly one line; a malformed, repeated
-    or missing round line raises :class:`ParseError`.
-    """
+def _read_trace_file(path) -> _TraceFile:
+    """Read a trace file and parse its header lines; a bad one raises :class:`ParseError`."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# mixtrace "):
@@ -281,49 +312,136 @@ def load_trace(path) -> Trace:
         key, _, value = token.partition("=")
         header[key] = value
     try:
-        n_s = int(header["n_senders"])
-        n_r = int(header["n_receivers"])
-        rho = int(header["rho"])
-        cfg_kwargs = {
-            "kind": header["kind"],
-            "t": int(header["t"]),
-            "alpha": float(header["alpha"]),
-            "m": int(header["m"]),
-        }
+        sizes = [int(header[key]) for key in ("rho", "n_senders", "n_receivers")]
+        config = MixConfig(
+            kind=header["kind"], t=int(header["t"]), alpha=float(header["alpha"]), m=int(header["m"])
+        )
         seed = int(header["seed"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {exc}", line_no=1) from exc
+    if min(sizes) < 1:
+        raise ParseError("rho, n_senders and n_receivers must be >= 1", line_no=1)
 
     body_start = 1
     if len(lines) > 1 and lines[1].startswith("# pool_prior "):
         try:
-            prior = [float(v) for v in lines[1][len("# pool_prior ") :].split()]
+            prior = np.array([float(v) for v in lines[1][len("# pool_prior ") :].split()])
+            if prior.size != sizes[1]:
+                raise ValueError(f"{prior.size} entries for {sizes[1]} senders")
+            config = MixConfig(config.kind, config.t, config.alpha, config.m, prior)
         except ValueError as exc:
             raise ParseError(f"bad pool_prior: {exc}", line_no=2) from exc
-        cfg_kwargs["pool_prior"] = np.array(prior)
         body_start = 2
+    return _TraceFile(lines, body_start, *sizes, config, seed)
 
-    U = np.zeros((rho, n_s), dtype=np.int64)
-    Y = np.zeros((rho, n_r), dtype=np.int64)
-    seen = np.zeros(rho, dtype=bool)
-    for offset, line in enumerate(lines[body_start:]):
-        line_no = body_start + offset + 1
+
+def _in_range(text: str, stop: int) -> int:
+    """An index or count; outside ``0 .. stop-1`` it would wrap around or overflow."""
+    if not 0 <= (value := int(text)) < stop:
+        raise IndexError(f"{value} outside 0..{stop - 1}")
+    return value
+
+
+def _scan_rounds(f: _TraceFile) -> Trace:
+    """Read the round lines one by one; a bad line raises :class:`ParseError` naming it."""
+    U = np.zeros((f.rho, f.n_senders), dtype=np.int64)
+    Y = np.zeros((f.rho, f.n_receivers), dtype=np.int64)
+    line_of_round = np.zeros(f.rho, dtype=np.int64)  # 0: no line yet
+    cap = f.count_cap + 1
+    for offset, line in enumerate(f.lines[f.body_start :]):
+        line_no = f.body_start + offset + 1
         parts = line.split()
         try:
-            r = _index(parts[0], rho)
-            if seen[r]:
-                raise ValueError(f"round {r} already listed")
-            seen[r] = True
-            in_at = parts.index("in")
+            r = _in_range(parts[0], f.rho)
+            if line_of_round[r]:
+                raise ValueError(f"round {r} already listed on line {line_of_round[r]}")
+            line_of_round[r] = line_no
+            if parts[1] != "in":
+                raise ValueError("expected 'in' after the round")
             out_at = parts.index("out")
-            for pair in parts[in_at + 1 : out_at]:
-                i, c = pair.split(":")
-                U[r, _index(i, n_s)] = int(c)
-            for pair in parts[out_at + 1 :]:
-                j, c = pair.split(":")
-                Y[r, _index(j, n_r)] = int(c)
+            for side, tokens, size in ((U, parts[2:out_at], f.n_senders),
+                                       (Y, parts[out_at + 1 :], f.n_receivers)):
+                listed = set()
+                for pair in tokens:
+                    i, c = pair.split(":")
+                    if (i := _in_range(i, size)) in listed:
+                        raise ValueError(f"user {i} listed twice")
+                    listed.add(i)
+                    side[r, i] = _in_range(c, cap)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad round record: {exc}", line_no=line_no) from exc
-    if not seen.all():
-        raise ParseError(f"no line for round {int(np.argmin(seen))}")
-    return Trace(U=U, Y=Y, config=MixConfig(**cfg_kwargs), seed=seed)
+    if not line_of_round.all():
+        raise ParseError(f"no line for round {int(np.argmin(line_of_round))}")
+    broken = [(int(line_of_round[bad].min()), message)
+              for bad, message in _count_rules(U, Y, f.config) if bad.any()]
+    if broken:
+        line_no, message = min(broken)
+        raise ParseError(message, line_no=line_no)
+    return Trace(U=U, Y=Y, config=f.config, seed=f.seed)
+
+
+_DIGITS = b"0123456789"
+
+
+def _pair_columns(parts: list, n_cols: int, cap: int) -> tuple | None:
+    """``(flat matrix index, count)`` arrays of the rounds' ``"i:c i:c"`` parts.
+
+    None unless every part is canonical: single spaces between ``digits:digits``
+    tokens, columns strictly ascending within a part and every number in range.
+    """
+    text = " ".join(p for p in parts if p).encode()
+    n_pairs = text.count(b":")
+    if text.translate(None, _DIGITS) != (b": " * n_pairs)[:-1]:
+        return None
+    values = np.fromstring(text.replace(b":", b" "), dtype=np.int64, sep=" ")
+    if values.size != 2 * n_pairs:  # an empty side of a ':'
+        return None
+    cols, counts = values[0::2], values[1::2]
+    rounds = np.repeat(np.arange(len(parts)), [p.count(":") for p in parts])
+    keys = rounds * n_cols + cols
+    if cols.max(initial=0) >= n_cols or counts.max(initial=0) > cap or np.any(np.diff(keys) <= 0):
+        return None
+    return keys, counts
+
+
+def _parse_rounds(f: _TraceFile) -> Trace | None:
+    """Whole-column parse of the round lines :func:`save_trace` writes.
+
+    This path raises no error of its own: it returns None for anything that
+    is not a canonical, valid trace, and the line scan then decides.  It only
+    accepts lines the scan accepts with the same counts, so both agree.
+    """
+    rounds, u_parts, y_parts = [], [], []
+    for line in f.lines[f.body_start :]:
+        r, _, rest = line.partition(" in ")
+        u, sep, y = rest.partition(" out ")
+        if not sep:
+            return None
+        rounds.append(r)
+        u_parts.append(u)
+        y_parts.append(y)
+    if rounds != [str(r) for r in range(f.rho)]:
+        return None
+    U = np.zeros((f.rho, f.n_senders), dtype=np.int64)
+    Y = np.zeros((f.rho, f.n_receivers), dtype=np.int64)
+    for mat, parts in ((U, u_parts), (Y, y_parts)):
+        if (pairs := _pair_columns(parts, mat.shape[1], f.count_cap)) is None:
+            return None
+        mat.ravel()[pairs[0]] = pairs[1]
+    try:
+        return Trace(U=U, Y=Y, config=f.config, seed=f.seed)
+    except InvalidParameterError:
+        return None
+
+
+def load_trace(path) -> Trace:
+    """Read a trace file written by :func:`save_trace`.
+
+    Every round ``0 .. rho-1`` needs exactly one line.  A malformed, repeated
+    or missing round line, a user listed twice in a line, and counts that
+    break :meth:`Trace.validate` raise :class:`ParseError` with the line.
+    Files as :func:`save_trace` writes them are parsed a column at a time;
+    any other file is read line by line.
+    """
+    f = _read_trace_file(path)
+    return _parse_rounds(f) or _scan_rounds(f)

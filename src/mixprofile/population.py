@@ -171,18 +171,26 @@ def load_population(path) -> UserPopulation:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"not a valid population file: {exc}") from exc
+            raise ParseError(f"not a valid population file: {exc.msg}", line_no=exc.lineno) from exc
     try:
         n_s = int(doc["n_senders"])
         n_r = int(doc["n_receivers"])
         frequencies = np.asarray(doc["frequencies"], dtype=float)
         profiles = np.zeros((n_s, n_r))
+        users = set()
         for row in doc["profiles"]:
             i = int(row["user"])
+            if i in users:
+                raise ValueError(f"user {i} appears twice")
+            users.add(i)
+            receivers = set()
             for entry in row["contacts"]:
                 j = int(entry["receiver"])
                 if min(i, j) < 0:  # would wrap around to the last row or column
                     raise IndexError(f"negative index in user {i}, receiver {j}")
+                if j in receivers:
+                    raise ValueError(f"user {i} lists receiver {j} twice")
+                receivers.add(j)
                 profiles[i, j] = float(entry["prob"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed population document: {exc}") from exc

@@ -425,3 +425,23 @@ class TestEstimateFile:
         with pytest.raises(ParseError, match=f"line {line}:") as info:
             load_estimate(path)
         assert info.value.line_no == line
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "estimate.txt"
+        path.write_text(
+            "# estimate method=lsda iterations=1 residual=0 converged=True "
+            f"n_senders=2 n_receivers=2\n0.5 0.5\n0.5 {entry}\n"
+        )
+        with pytest.raises(ParseError, match="line 3:.*non-finite"):
+            load_estimate(path)
+
+    def test_nan_residual_is_legal(self, tmp_path):
+        _, trace = random_trace(n_users=4, t=3, rho=60, seed=2)
+        est = zero_clip(lsda(trace))
+        path = tmp_path / "estimate.txt"
+        save_estimate(est, path)
+        loaded = load_estimate(path)
+        assert np.isnan(loaded.residual)
+        np.testing.assert_array_equal(loaded.P_hat, est.P_hat)
+

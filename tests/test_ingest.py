@@ -8,6 +8,7 @@ from mixprofile import (
     build_rounds,
     load_events,
 )
+from mixprofile import ingest
 
 
 def write(tmp_path, text, name="events.csv"):
@@ -42,9 +43,37 @@ class TestLoadEvents:
         with pytest.raises(ParseError, match="line 2"):
             load_events(write(tmp_path, "0,a,x\nlater,b,y\n"))
 
+    def test_padded_fields_are_stripped(self, tmp_path):
+        log = load_events(write(tmp_path, " 3 ,\ta , x\n1,b,y\n"))
+        assert log.timestamps.tolist() == [1, 3]
+        assert log.sender_names == ("a", "b")
+        assert log.receiver_names == ("x", "y")
+
+    def test_bad_line_in_a_later_block_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "EVENT_BLOCK", 2)
+        text = "0,a,x\n# note\n1,b,y\n2,c,z\n3,d\n4,e,w\n"
+        with pytest.raises(ParseError, match="line 5:"):
+            load_events(write(tmp_path, text))
+
+    def test_timestamp_beyond_64_bits(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2:.*64 bits"):
+            load_events(write(tmp_path, "0,a,x\n99999999999999999999,b,y\n"))
+
+    def test_ids_keep_first_appearance_order_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "EVENT_BLOCK", 2)
+        log = load_events(write(tmp_path, "5,b,y\n4,a,x\n3,b,z\n2,c,x\n1,a,y\n"))
+        assert log.sender_names == ("b", "a", "c")
+        assert log.receiver_names == ("y", "x", "z")
+        assert log.timestamps.tolist() == [1, 2, 3, 4, 5]
+        assert [log.sender_names[i] for i in log.senders] == ["a", "c", "b", "a", "b"]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyLogError):
             load_events(write(tmp_path, "# nothing here\n"))
+
+    def test_zero_byte_file(self, tmp_path):
+        with pytest.raises(EmptyLogError):
+            load_events(write(tmp_path, ""))
 
 
 class TestBuildRounds:

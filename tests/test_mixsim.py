@@ -293,3 +293,62 @@ class TestTraceFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="round 1"):
             load_trace(path)
+
+    @staticmethod
+    def _write(tmp_path, body, kind="threshold", m=0, rho=2):
+        """A 2-sender, 2-receiver, t=2 trace file with the given round lines."""
+        path = tmp_path / "trace.txt"
+        header = (f"# mixtrace n_senders=2 n_receivers=2 t=2 kind={kind} alpha=0.5 m={m} "
+                  f"rho={rho} seed=0\n")
+        prior = "# pool_prior 0.5 0.5\n" if m else ""
+        path.write_text(header + prior + "".join(line + "\n" for line in body))
+        return path
+
+    @pytest.mark.parametrize("record", ["0 in 0:5 0:2 out 1:2", "0 in 0:1 1:1 out 1:1 1:1"])
+    def test_repeated_user_in_a_line_rejected(self, tmp_path, record):
+        # the last pair used to win: 0:5 0:2 loaded as U=[[2, 0]]
+        path = self._write(tmp_path, [record], rho=4)
+        with pytest.raises(ParseError, match="line 2:.*twice") as info:
+            load_trace(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("body, kind, m, line", [
+        (["0 in 0:2 out 1:2", "1 in 0:1 out 1:2"], "threshold", 0, 3),  # U row sums to 1
+        (["0 in 0:2 out 1:2", "1 in 0:-1 1:3 out 1:2"], "threshold", 0, 3),  # negative count
+        (["0 in 0:2 out 1:2", "1 in 0:2 out 0:1 1:2"], "threshold", 0, 3),  # Y row sums to 3
+        (["1 in 0:2 out 1:1", "0 in 0:2 out 0:3"], "binomial_pool", 0, 3),  # 3 out of 2 entered
+        (["0 in 0:2 out 1:4", "1 in 0:2 out 1:2"], "binomial_pool", 1, 3),  # 4 out of 3 entered
+    ])
+    def test_count_errors_name_the_line(self, tmp_path, body, kind, m, line):
+        path = self._write(tmp_path, body, kind=kind, m=m)
+        with pytest.raises(ParseError) as info:
+            load_trace(path)
+        assert info.value.line_no == line
+
+    def test_text_between_round_and_in_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 x in 0:2 out 1:2"])
+        with pytest.raises(ParseError, match="line 3:"):
+            load_trace(path)
+
+    def test_padded_lines_still_read(self, tmp_path):
+        path = self._write(tmp_path, ["  0  in 0:2\tout 1:2 ", "1 in 0:1 1:1 out 0:2"])
+        trace = load_trace(path)
+        assert trace.U.tolist() == [[2, 0], [1, 1]]
+        assert trace.Y.tolist() == [[0, 2], [2, 0]]
+
+    @pytest.mark.parametrize("header, line", [
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=pool alpha=0.5 m=0 rho=1 seed=0", 1),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=binomial_pool alpha=2 m=0 rho=1 seed=0", 1),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=threshold alpha=1 m=0 rho=0 seed=0", 1),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=binomial_pool alpha=0.5 m=1 rho=1 seed=0\n"
+         "# pool_prior 0.25 0.25 0.5", 2),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=binomial_pool alpha=0.5 m=1 rho=1 seed=0\n"
+         "# pool_prior 0.6 0.6", 2),
+    ])
+    def test_bad_mix_parameters_name_the_header_line(self, tmp_path, header, line):
+        path = tmp_path / "trace.txt"
+        path.write_text(header + "\n0 in 0:2 out 1:1\n")
+        with pytest.raises(ParseError) as info:
+            load_trace(path)
+        assert info.value.line_no == line
+

@@ -141,3 +141,26 @@ class TestFileRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="negative index"):
             load_population(path)
+
+    @pytest.mark.parametrize("profiles, match", [
+        # 0:0.5, 0:0.5, 1:0.5 used to load as the valid row [0.5, 0.5]
+        ([{"user": 0, "contacts": [{"receiver": 0, "prob": 0.5}, {"receiver": 0, "prob": 0.5},
+                                   {"receiver": 1, "prob": 0.5}]},
+          {"user": 1, "contacts": [{"receiver": 1, "prob": 1.0}]}], "user 0 lists receiver 0 twice"),
+        ([{"user": 0, "contacts": [{"receiver": 0, "prob": 1.0}]},
+          {"user": 0, "contacts": [{"receiver": 1, "prob": 1.0}]}], "user 0 appears twice"),
+    ])
+    def test_duplicates_rejected(self, tmp_path, profiles, match):
+        doc = {"n_senders": 2, "n_receivers": 2, "frequencies": [0.5, 0.5], "profiles": profiles}
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match):
+            load_population(path)
+
+    def test_malformed_json_names_the_line(self, tmp_path):
+        path = tmp_path / "pop.json"
+        path.write_text('{\n "n_senders": 2,\n "n_receivers": 2 oops\n}\n')
+        with pytest.raises(ParseError, match="line 3:") as info:
+            load_population(path)
+        assert info.value.line_no == 3
+
