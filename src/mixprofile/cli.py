@@ -9,6 +9,10 @@ from dataclasses import replace
 
 from .errors import MixProfileError
 from .estimators import (
+    INIT_PROJECTED,
+    INIT_UNIFORM,
+    LSDA,
+    METHODS,
     ProfileEstimate,
     SolverOptions,
     clsda,
@@ -166,22 +170,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
-    p.add_argument("--method", choices=("lsda", "clsda", "rls", "sda", "zclip"), default="lsda")
+    p.add_argument("--method", choices=METHODS, default=LSDA)
     p.add_argument("--ridge", action="store_true", help="regularize singular systems")
+    solver = SolverOptions()
     p.add_argument(
-        "--step-scale", type=float, default=1.0,
+        "--step-scale", type=float, default=solver.step_scale,
         help="clsda step as a multiple of 1/lambda_max of the Gram matrix, in (0, 2); "
         "up to 1 keeps the accelerated rate",
     )
     p.add_argument(
-        "--max-iter", type=int, default=5000,
+        "--max-iter", type=int, default=solver.max_iter,
         help="clsda iteration cap; the estimate is flagged converged=False if it is reached",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-9,
+        "--tol", type=float, default=solver.tol,
         help="clsda stops when the relative change of the accepted iterate is at most this",
     )
-    p.add_argument("--init", choices=("uniform", "unconstrained_projected"), default="uniform")
+    p.add_argument("--init", choices=(INIT_UNIFORM, INIT_PROJECTED), default=solver.init)
     _common(p)
     p.set_defaults(func=_cmd_attack)
 

@@ -377,6 +377,8 @@ def load_estimate(path) -> ProfileEstimate:
         shape = (int(header["n_senders"]), int(header["n_receivers"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {exc}", line_no=1) from exc
+    if min(shape) < 1:
+        raise ParseError("n_senders and n_receivers must be >= 1", line_no=1)
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         try:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import re
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -48,9 +50,51 @@ REPORT_COLUMNS = (
 )
 
 
+def _integer(least: int) -> tuple:
+    """The rule of an integer field of at least ``least``."""
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least,
+            f"an integer >= {least}")
+
+
+#: spec field -> (test of a value, what the value must be); booleans are not numbers here
+_FIELD_RULES = {
+    **dict.fromkeys(("n_users", "n_friends", "t", "rho", "repetitions"), _integer(1)),
+    **dict.fromkeys(("m", "master_seed"), _integer(0)),
+    "alpha": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v <= 1,
+              "a number in (0, 1]"),
+    "profile_dist": (lambda v: v in PROFILE_DISTS, f"one of {PROFILE_DISTS}"),
+    "freq_dist": (lambda v: v in FREQ_DISTS, f"one of {FREQ_DISTS}"),
+    "mix_kind": (lambda v: v in MIX_KINDS, f"one of {MIX_KINDS}"),
+    "sweep_param": (lambda v: v in (None, *SWEEPABLE, *_SWEEP_ALIASES),
+                    f"null or one of {SWEEPABLE}"),
+    "sweep_values": (lambda v: isinstance(v, (list, tuple)), "a list"),
+    "methods": (lambda v: isinstance(v, (list, tuple)) and all(m in METHODS for m in v),
+                f"a list of {METHODS}"),
+    "include_theory": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+class _FieldError(InvalidParameterError):
+    """A refused spec value; ``key`` names its field, so :func:`load_spec` can give the line."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def _check_field(name: str, value, key: str | None = None) -> None:
+    test, what = _FIELD_RULES[name]
+    if not test(value):
+        raise _FieldError(key or name, f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Base parameters, one optional sweep, methods and repetition count."""
+    """Base parameters, one optional sweep, methods and repetition count.
+
+    A value of the wrong type or out of range, including a sweep value
+    unfit for the swept field, raises :class:`InvalidParameterError`.
+    """
 
     n_users: int = 100
     n_friends: int = 25
@@ -69,24 +113,17 @@ class ExperimentSpec:
     include_theory: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.repetitions < 1:
-            raise InvalidParameterError("repetitions must be >= 1")
-        if self.mix_kind not in MIX_KINDS:
-            raise InvalidParameterError(f"unknown mix kind {self.mix_kind!r}")
-        if self.profile_dist not in PROFILE_DISTS or self.freq_dist not in FREQ_DISTS:
-            raise InvalidParameterError("unknown profile or frequency distribution")
-        for method in self.methods:
-            if method not in METHODS:
-                raise InvalidParameterError(f"unknown method {method!r}")
         if self.sweep_param is not None:
             canon = _SWEEP_ALIASES.get(self.sweep_param, self.sweep_param)
             object.__setattr__(self, "sweep_param", canon)
-            if canon not in SWEEPABLE:
-                raise InvalidParameterError(f"cannot sweep {self.sweep_param!r}")
             if not self.sweep_values:
-                raise InvalidParameterError("sweep_values must be non-empty")
+                raise _FieldError("sweep_values", "sweep_values must be non-empty")
+            for value in self.sweep_values:
+                _check_field(canon, value, key="sweep_values")
 
 
 @dataclass
@@ -119,14 +156,16 @@ def load_spec(path) -> ExperimentSpec:
         raise ParseError(f"malformed spec JSON: {exc.msg}", line_no=exc.lineno) from exc
     if not isinstance(doc, dict):
         raise ParseError("a spec must be a JSON object", line_no=1)
-    for key in sorted(set(doc) - {f.name for f in fields(ExperimentSpec)}):
-        numbered = enumerate(text.splitlines(), 1)
-        line_no = next((n for n, line in numbered if f'"{key}"' in line), None)
-        raise ParseError(f"unknown spec field {key!r}", line_no=line_no)
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
     try:
+        if unknown:
+            raise _FieldError(unknown[0], f"unknown spec field {unknown[0]!r}")
         return ExperimentSpec(**doc)
-    except TypeError as exc:
-        raise ParseError(f"bad spec value: {exc}") from exc
+    except _FieldError as exc:
+        member = re.compile(rf'"{re.escape(exc.key)}"\s*:')  # opens the field, unlike a value
+        numbered = enumerate(text.splitlines(), 1)
+        line_no = next((n for n, line in numbered if member.search(line)), None)
+        raise ParseError(str(exc), line_no=line_no) from exc
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:

@@ -35,56 +35,35 @@ class EventLog:
 
 #: lines parsed at a time, so no whole-file string column is ever held
 EVENT_BLOCK = 4096
-_INT64 = np.iinfo(np.int64)
 
 
-def _parse_block(lines: list, senders: dict, receivers: dict) -> tuple | None:
-    """Columns of a block of event lines, parsed a column at a time.
+def _parse_block(lines: list, senders: dict, receivers: dict) -> tuple:
+    """Columns ``(timestamps, sender codes, receiver codes)`` of a block of event lines.
 
-    None when any line is malformed, with the id codes left untouched; the
-    line scan then names the line.
+    The block is parsed a column at a time.  A bad line raises ValueError with
+    the id codes left untouched; its message describes the line when the
+    block holds just one.
     """
     events = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not events:
+        return np.empty(0, dtype=np.int64), [], []
     # a line break opens each line's first field, so a line with more or
     # fewer than three fields moves a line break off the timestamp column
     fields = ",\n".join(events).split(",")
     stamps = fields[0::3]
     if len(fields) != 3 * len(events) or "".join(stamps).count("\n") != len(events) - 1:
-        return None
-    sent, received = list(map(str.strip, fields[1::3])), list(map(str.strip, fields[2::3]))
-    if "" in sent or "" in received:
-        return None
+        raise ValueError("expected 'timestamp,sender,receiver'")
     try:
         ts = np.array(stamps, dtype=np.int64)  # parses each field as int() does
-    except (ValueError, OverflowError):
-        return None
+    except OverflowError:
+        raise ValueError("timestamp does not fit 64 bits") from None
+    except ValueError as exc:
+        raise ValueError(f"bad timestamp: {exc}") from None
+    sent, received = list(map(str.strip, fields[1::3])), list(map(str.strip, fields[2::3]))
+    if "" in sent or "" in received:
+        raise ValueError("empty sender or receiver id")
     return (ts, [senders.setdefault(i, len(senders)) for i in sent],
             [receivers.setdefault(i, len(receivers)) for i in received])
-
-
-def _scan_block(lines: list, first_line_no: int, senders: dict, receivers: dict):
-    """Columns of a block of event lines read one by one; a bad line raises :class:`ParseError`."""
-    ts_col, s_col, r_col = [], [], []
-    for line_no, raw in enumerate(lines, start=first_line_no):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 'timestamp,sender,receiver', got {line!r}", line_no=line_no)
-        ts_text, sender, receiver = (f.strip() for f in fields)
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise ParseError(f"bad timestamp {ts_text!r}", line_no=line_no) from None
-        if not _INT64.min <= ts <= _INT64.max:
-            raise ParseError(f"timestamp {ts} does not fit 64 bits", line_no=line_no)
-        if not sender or not receiver:
-            raise ParseError("empty sender or receiver id", line_no=line_no)
-        ts_col.append(ts)
-        s_col.append(senders.setdefault(sender, len(senders)))
-        r_col.append(receivers.setdefault(receiver, len(receivers)))
-    return np.array(ts_col, dtype=np.int64), s_col, r_col
 
 
 def load_events(path) -> EventLog:
@@ -94,8 +73,8 @@ def load_events(path) -> EventLog:
     ``timestamp,sender,receiver`` with an integer timestamp that fits 64 bits
     and non-empty ids; whitespace around a field is dropped.  Events are
     stably sorted by timestamp.  The file is parsed a block of
-    :data:`EVENT_BLOCK` lines at a time; a block with a bad line is read
-    again line by line, so the :class:`ParseError` names the line.
+    :data:`EVENT_BLOCK` lines at a time; a block with a bad line is parsed
+    again one line at a time, so the :class:`ParseError` names the line.
     """
     senders: dict[str, int] = {}  # id -> code, in order of first appearance
     receivers: dict[str, int] = {}
@@ -103,8 +82,15 @@ def load_events(path) -> EventLog:
     with open(path) as fh:
         first_line_no = 1
         while lines := list(itertools.islice(fh, EVENT_BLOCK)):
-            columns.append(_parse_block(lines, senders, receivers)
-                           or _scan_block(lines, first_line_no, senders, receivers))
+            try:
+                columns.append(_parse_block(lines, senders, receivers))
+            except ValueError:
+                for line_no, line in enumerate(lines, first_line_no):
+                    try:
+                        _parse_block([line], senders, receivers)
+                    except ValueError as exc:
+                        raise ParseError(str(exc), line_no=line_no) from None
+                raise
             first_line_no += len(lines)
     if not any(len(c[0]) for c in columns):
         raise EmptyLogError(f"no events in {path}")

@@ -12,6 +12,7 @@ routing for validation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +242,8 @@ def delay_stats(trace: Trace) -> dict:
     return {"mean_delay_rounds": mean, "delay_histogram": histogram}
 
 
-#: rounds formatted at a time, so writing holds O(block) text whatever rho is
+#: round lines written or read at a time, so a trace file's text is held
+#: O(block) at once whatever rho is
 _SAVE_BLOCK = 4096
 
 
@@ -283,32 +285,12 @@ def save_trace(trace: Trace, path) -> None:
             fh.writelines(f"{r} in {u} out {y}\n" for r, (u, y) in enumerate(pairs, start))
 
 
-@dataclass(frozen=True)
-class _TraceFile:
-    """A trace file's lines and what its header lines say."""
-
-    lines: list
-    body_start: int  # index in ``lines`` of the first round line
-    rho: int
-    n_senders: int
-    n_receivers: int
-    config: MixConfig
-    seed: int
-
-    @property
-    def count_cap(self) -> int:
-        """No count in a valid trace exceeds the messages that can have entered the mix."""
-        return self.config.m + self.config.t * self.rho
-
-
-def _read_trace_file(path) -> _TraceFile:
-    """Read a trace file and parse its header lines; a bad one raises :class:`ParseError`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# mixtrace "):
+def _read_header(head: list) -> tuple:
+    """``(rho, n_senders, n_receivers, config, seed, header line count)`` of a trace file."""
+    if not head or not head[0].startswith("# mixtrace "):
         raise ParseError("missing mixtrace header", line_no=1)
     header = {}
-    for token in lines[0][len("# mixtrace ") :].split():
+    for token in head[0][len("# mixtrace ") :].split():
         key, _, value = token.partition("=")
         header[key] = value
     try:
@@ -321,127 +303,104 @@ def _read_trace_file(path) -> _TraceFile:
         raise ParseError(f"bad header: {exc}", line_no=1) from exc
     if min(sizes) < 1:
         raise ParseError("rho, n_senders and n_receivers must be >= 1", line_no=1)
-
-    body_start = 1
-    if len(lines) > 1 and lines[1].startswith("# pool_prior "):
-        try:
-            prior = np.array([float(v) for v in lines[1][len("# pool_prior ") :].split()])
-            if prior.size != sizes[1]:
-                raise ValueError(f"{prior.size} entries for {sizes[1]} senders")
-            config = MixConfig(config.kind, config.t, config.alpha, config.m, prior)
-        except ValueError as exc:
-            raise ParseError(f"bad pool_prior: {exc}", line_no=2) from exc
-        body_start = 2
-    return _TraceFile(lines, body_start, *sizes, config, seed)
-
-
-def _in_range(text: str, stop: int) -> int:
-    """An index or count; outside ``0 .. stop-1`` it would wrap around or overflow."""
-    if not 0 <= (value := int(text)) < stop:
-        raise IndexError(f"{value} outside 0..{stop - 1}")
-    return value
-
-
-def _scan_rounds(f: _TraceFile) -> Trace:
-    """Read the round lines one by one; a bad line raises :class:`ParseError` naming it."""
-    U = np.zeros((f.rho, f.n_senders), dtype=np.int64)
-    Y = np.zeros((f.rho, f.n_receivers), dtype=np.int64)
-    line_of_round = np.zeros(f.rho, dtype=np.int64)  # 0: no line yet
-    cap = f.count_cap + 1
-    for offset, line in enumerate(f.lines[f.body_start :]):
-        line_no = f.body_start + offset + 1
-        parts = line.split()
-        try:
-            r = _in_range(parts[0], f.rho)
-            if line_of_round[r]:
-                raise ValueError(f"round {r} already listed on line {line_of_round[r]}")
-            line_of_round[r] = line_no
-            if parts[1] != "in":
-                raise ValueError("expected 'in' after the round")
-            out_at = parts.index("out")
-            for side, tokens, size in ((U, parts[2:out_at], f.n_senders),
-                                       (Y, parts[out_at + 1 :], f.n_receivers)):
-                listed = set()
-                for pair in tokens:
-                    i, c = pair.split(":")
-                    if (i := _in_range(i, size)) in listed:
-                        raise ValueError(f"user {i} listed twice")
-                    listed.add(i)
-                    side[r, i] = _in_range(c, cap)
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad round record: {exc}", line_no=line_no) from exc
-    if not line_of_round.all():
-        raise ParseError(f"no line for round {int(np.argmin(line_of_round))}")
-    broken = [(int(line_of_round[bad].min()), message)
-              for bad, message in _count_rules(U, Y, f.config) if bad.any()]
-    if broken:
-        line_no, message = min(broken)
-        raise ParseError(message, line_no=line_no)
-    return Trace(U=U, Y=Y, config=f.config, seed=f.seed)
+    if len(head) < 2 or not head[1].startswith("# pool_prior "):
+        return (*sizes, config, seed, 1)
+    try:
+        prior = np.array([float(v) for v in head[1][len("# pool_prior ") :].split()])
+        if prior.size != sizes[1]:
+            raise ValueError(f"{prior.size} entries for {sizes[1]} senders")
+        return (*sizes, MixConfig(config.kind, config.t, config.alpha, config.m, prior), seed, 2)
+    except ValueError as exc:
+        raise ParseError(f"bad pool_prior: {exc}", line_no=2) from exc
 
 
 _DIGITS = b"0123456789"
+#: ``:`` to a space and each non-zero digit to 1, so that after a leading
+#: space a number with a leading zero reads `` 00`` or `` 01``
+_NUMBER_STARTS = bytes.maketrans(b":123456789", b" 111111111")
 
 
-def _pair_columns(parts: list, n_cols: int, cap: int) -> tuple | None:
-    """``(flat matrix index, count)`` arrays of the rounds' ``"i:c i:c"`` parts.
+def _parse_rounds(lines: list, r0: int, U: np.ndarray, Y: np.ndarray, cap: int) -> None:
+    """Fill rows ``r0, r0+1, ...`` of ``U`` and ``Y`` from their round lines.
 
-    None unless every part is canonical: single spaces between ``digits:digits``
-    tokens, columns strictly ascending within a part and every number in range.
+    Each line must be the next round's, laid out as :func:`save_trace` writes
+    it, with counts in ``1 .. cap``.  Anything else raises ValueError, whose
+    message describes the line when ``lines`` holds just one.
     """
-    text = " ".join(p for p in parts if p).encode()
-    n_pairs = text.count(b":")
-    if text.translate(None, _DIGITS) != (b": " * n_pairs)[:-1]:
-        return None
-    values = np.fromstring(text.replace(b":", b" "), dtype=np.int64, sep=" ")
-    if values.size != 2 * n_pairs:  # an empty side of a ':'
-        return None
-    cols, counts = values[0::2], values[1::2]
-    rounds = np.repeat(np.arange(len(parts)), [p.count(":") for p in parts])
-    keys = rounds * n_cols + cols
-    if cols.max(initial=0) >= n_cols or counts.max(initial=0) > cap or np.any(np.diff(keys) <= 0):
-        return None
-    return keys, counts
-
-
-def _parse_rounds(f: _TraceFile) -> Trace | None:
-    """Whole-column parse of the round lines :func:`save_trace` writes.
-
-    This path raises no error of its own: it returns None for anything that
-    is not a canonical, valid trace, and the line scan then decides.  It only
-    accepts lines the scan accepts with the same counts, so both agree.
-    """
-    rounds, u_parts, y_parts = [], [], []
-    for line in f.lines[f.body_start :]:
-        r, _, rest = line.partition(" in ")
+    if r0 + len(lines) > len(U):
+        raise ValueError(f"more round lines than rho={len(U)}")
+    sides = ([], [])
+    for r, line in enumerate(lines, r0):
+        head, _, rest = line.rstrip("\n").partition(" in ")
         u, sep, y = rest.partition(" out ")
         if not sep:
-            return None
-        rounds.append(r)
-        u_parts.append(u)
-        y_parts.append(y)
-    if rounds != [str(r) for r in range(f.rho)]:
-        return None
-    U = np.zeros((f.rho, f.n_senders), dtype=np.int64)
-    Y = np.zeros((f.rho, f.n_receivers), dtype=np.int64)
-    for mat, parts in ((U, u_parts), (Y, y_parts)):
-        if (pairs := _pair_columns(parts, mat.shape[1], f.count_cap)) is None:
-            return None
-        mat.ravel()[pairs[0]] = pairs[1]
-    try:
-        return Trace(U=U, Y=Y, config=f.config, seed=f.seed)
-    except InvalidParameterError:
-        return None
+            raise ValueError("expected '<round> in <user>:<count> ... out <user>:<count> ...'")
+        if head != str(r):
+            raise ValueError(f"expected round {r}, got round {head}")
+        sides[0].append(u)
+        sides[1].append(y)
+    for mat, parts in zip((U, Y), sides):
+        n_cols = mat.shape[1]
+        text = " ".join(p for p in parts if p).encode()
+        n_pairs = text.count(b":")
+        bare = text.translate(None, _DIGITS)
+        if bare != (b": " * n_pairs)[:-1]:
+            raise ValueError("expected single-spaced <user>:<count> tokens of ASCII digits")
+        starts = (b" " + text).translate(_NUMBER_STARTS)
+        if b" 00" in starts or b" 01" in starts:
+            raise ValueError("a number has a leading zero")
+        # a number beyond 64 bits reads as the int64 maximum, which the range checks refuse
+        values = np.fromstring(text.replace(b":", b" "), dtype=np.int64, sep=" ")
+        if values.size != 2 * n_pairs:
+            raise ValueError("a user or a count is empty")
+        cols, counts = values[0::2], values[1::2]
+        if cols.max(initial=0) >= n_cols:
+            raise ValueError(f"user {cols.max()} outside 0..{n_cols - 1}")
+        if counts.min(initial=1) < 1 or counts.max(initial=0) > cap:
+            raise ValueError(f"count outside 1..{cap}")
+        keys = np.repeat(np.arange(len(parts)), [p.count(":") for p in parts]) * n_cols + cols
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("user listed twice or out of order")
+        mat[r0 : r0 + len(lines)].ravel()[keys] = counts
 
 
 def load_trace(path) -> Trace:
     """Read a trace file written by :func:`save_trace`.
 
-    Every round ``0 .. rho-1`` needs exactly one line.  A malformed, repeated
-    or missing round line, a user listed twice in a line, and counts that
-    break :meth:`Trace.validate` raise :class:`ParseError` with the line.
-    Files as :func:`save_trace` writes them are parsed a column at a time;
-    any other file is read line by line.
+    Only the writer's layout is read: rounds ``0 .. rho-1`` in order, one
+    line each, with single-spaced ``user:count`` tokens of ASCII digits, no
+    leading zeros, non-zero counts and users ascending.  The round lines are
+    parsed a block of :data:`_SAVE_BLOCK` at a time, and a block that fails
+    is parsed again line by line, so a padded, reordered or otherwise bad
+    line, a missing round and counts that break :meth:`Trace.validate` raise
+    :class:`ParseError` with the line.
     """
-    f = _read_trace_file(path)
-    return _parse_rounds(f) or _scan_rounds(f)
+    with open(path) as fh:
+        head = list(itertools.islice(fh, 2))
+        rho, n_senders, n_receivers, config, seed, body_start = _read_header(head)
+        U = np.zeros((rho, n_senders), dtype=np.int64)
+        Y = np.zeros((rho, n_receivers), dtype=np.int64)
+        # no count in a valid trace exceeds the messages that can have entered the mix
+        cap = config.m + config.t * rho
+        body = itertools.chain(head[body_start:], fh)
+        r0 = 0
+        while lines := list(itertools.islice(body, _SAVE_BLOCK)):
+            try:
+                _parse_rounds(lines, r0, U, Y, cap)
+            except ValueError:
+                for r, line in enumerate(lines, r0):
+                    try:
+                        _parse_rounds([line], r, U, Y, cap)
+                    except ValueError as exc:
+                        line_no = body_start + r + 1
+                        raise ParseError(f"bad round record: {exc}", line_no=line_no) from None
+                raise
+            r0 += len(lines)
+    if r0 < rho:
+        raise ParseError(f"no line for round {r0}")
+    try:
+        return Trace(U=U, Y=Y, config=config, seed=seed)
+    except InvalidParameterError as exc:
+        line_no, message = min((body_start + int(np.argmax(bad)) + 1, message)
+                               for bad, message in _count_rules(U, Y, config) if bad.any())
+        raise ParseError(message, line_no=line_no) from exc

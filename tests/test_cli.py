@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import numpy as np
+import pytest
 
 from mixprofile import load_estimate, load_population, load_trace
-from mixprofile.cli import main
+from mixprofile.cli import build_parser, main
+from mixprofile.estimators import INIT_PROJECTED, INIT_UNIFORM, METHODS, SolverOptions
 
 
 def run(*argv):
@@ -105,6 +108,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert match in err
+        assert "Traceback" not in err
 
     def test_spec_with_unknown_key(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -117,3 +121,43 @@ class TestBadInput:
         spec_path.write_text('{"n_users": 8,, "t": 4}\n')
         self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
                          match="line 1: malformed spec JSON")
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 100.5),
+        ("n_users", 8.5),
+        ("rho", "100"),
+        ("alpha", "0.5"),
+        ("repetitions", 1.5),
+        ("master_seed", -1),
+        ("sweep_values", "ab"),
+        ("t", 2.5),
+        ("t", True),
+        ("include_theory", 1),
+    ])
+    def test_spec_with_a_bad_value(self, tmp_path, capsys, field, value):
+        doc = {"n_users": 8, "n_friends": 3, "rho": 150, "t": 4, "sweep_param": "rho",
+               "sweep_values": [100, 200], field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                                for k, v in doc.items()) + "\n}\n")
+        line = 2 + list(doc).index(field)
+        self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
+                         match=f"line {line}: {field} must be")
+
+    @pytest.mark.parametrize("values", [[100, 200.5], [100, "200"], [100, True]])
+    def test_spec_with_a_bad_sweep_value(self, tmp_path, capsys, values):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_users": 8, "sweep_param": "rho", "sweep_values": values,
+                                         "rho": 100}, indent=1))
+        self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
+                         match="line 4: rho must be")
+
+
+def test_attack_options_match_the_library():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in subparsers.choices["attack"]._actions}
+    assert tuple(options["method"].choices) == METHODS
+    assert tuple(options["init"].choices) == (INIT_UNIFORM, INIT_PROJECTED)
+    solver = SolverOptions()
+    for name in ("step_scale", "max_iter", "tol", "init"):
+        assert options[name].default == getattr(solver, name)

@@ -426,6 +426,19 @@ class TestEstimateFile:
             load_estimate(path)
         assert info.value.line_no == line
 
+    @pytest.mark.parametrize("sizes, body", [
+        ("n_senders=2 n_receivers=-1", ""),  # escaped as numpy's reshape error
+        ("n_senders=1 n_receivers=0", "\n"),  # loaded as a (1, 0) estimate
+        ("n_senders=0 n_receivers=2", ""),
+    ])
+    def test_header_sizes_below_one_rejected(self, tmp_path, sizes, body):
+        path = tmp_path / "estimate.txt"
+        header = f"# estimate method=lsda iterations=1 residual=0 converged=True {sizes}\n"
+        path.write_text(header + body)
+        with pytest.raises(ParseError, match="line 1:") as info:
+            load_estimate(path)
+        assert info.value.line_no == 1
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_rejected(self, tmp_path, entry):
         path = tmp_path / "estimate.txt"

@@ -1,11 +1,13 @@
 """Properties of the trace, event-log and estimate file formats.
 
-The loaders parse a file a column at a time and fall back to a line-by-line
-scan for anything else; these properties check that both paths give the same
-verdict, and that the writers still produce the bytes of the plain
-one-token-at-a-time writers kept here as references.
+The loaders parse a block of lines at a time, and parse a block that fails
+again one line at a time to name the bad line.  These properties check them
+against plain line-by-line reference readers kept here, and check that the
+writers still produce the bytes of the one-token-at-a-time reference writers
+kept next to them.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,8 +24,7 @@ from mixprofile import (
     save_estimate,
     save_trace,
 )
-from mixprofile import ingest
-from mixprofile.mixsim import _parse_rounds, _read_trace_file, _scan_rounds
+from mixprofile import ingest, mixsim
 
 from conftest import random_trace
 
@@ -78,8 +79,49 @@ def trace_verdict(read, path):
     return (trace.U.tolist(), trace.Y.tolist())
 
 
-def scan_trace(path):
-    return _scan_rounds(_read_trace_file(path))
+PAIRS = r"(?:(?:0|[1-9][0-9]*):[1-9][0-9]*(?: (?:0|[1-9][0-9]*):[1-9][0-9]*)*)?"
+ROUND_LINE = re.compile(rf"(0|[1-9][0-9]*) in ({PAIRS}) out ({PAIRS})")
+
+
+def reference_load_trace(path):
+    """The trace file read one line at a time against the canonical grammar.
+
+    Returns the trace.  The first line that breaks the grammar, names a
+    round out of order, a user out of range or out of order, or a count
+    outside ``1 .. m + t·rho`` raises :class:`ParseError` naming it; then a
+    missing round; then the first line of a round whose counts break a row
+    sum rule.
+    """
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    rho, n_senders, n_receivers, config, _, body_start = mixsim._read_header(lines[:2])
+    U = np.zeros((rho, n_senders), dtype=np.int64)
+    Y = np.zeros((rho, n_receivers), dtype=np.int64)
+    cap = config.m + config.t * rho
+    body = lines[body_start:]
+    for r, line in enumerate(body):
+        line_no = body_start + r + 1
+        match = ROUND_LINE.fullmatch(line)
+        if r >= rho or not match or int(match[1]) != r:
+            raise ParseError("bad round line", line_no=line_no)
+        for mat, pairs in ((U, match[2]), (Y, match[3])):
+            last = -1
+            for pair in pairs.split():
+                i, c = map(int, pair.split(":"))
+                if not last < i < mat.shape[1] or c > cap:
+                    raise ParseError("bad pair", line_no=line_no)
+                mat[r, i], last = c, i
+    if len(body) < rho:
+        raise ParseError("missing round")
+    t = config.t
+    bad = U.sum(axis=1) != t
+    if config.kind == "threshold":
+        bad |= Y.sum(axis=1) != t
+    else:
+        bad |= np.cumsum(Y.sum(axis=1)) > config.m + t * np.arange(1, rho + 1)
+    if bad.any():
+        raise ParseError("row sums", line_no=body_start + int(np.argmax(bad)) + 1)
+    return mixsim.Trace(U, Y, config)
 
 
 class TestTraceFile:
@@ -89,7 +131,6 @@ class TestTraceFile:
         path = tmp_path / "trace.txt"
         save_trace(trace, path)
         assert path.read_text() == reference_trace_text(trace)
-        assert _parse_rounds(_read_trace_file(path)) is not None  # the column path reads it
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.U, trace.U)
         np.testing.assert_array_equal(loaded.Y, trace.Y)
@@ -102,8 +143,8 @@ class TestTraceFile:
         assert loaded.seed == trace.seed
 
     @PROPERTY
-    @given(trace=traces(), data=st.data())
-    def test_column_parse_agrees_with_line_scan(self, tmp_path, trace, data):
+    @given(trace=traces(), block=st.integers(1, 9), data=st.data())
+    def test_column_parse_agrees_with_line_scan(self, tmp_path, trace, block, data):
         path = tmp_path / "trace.txt"
         save_trace(trace, path)
         lines = path.read_text().split("\n")[:-1]
@@ -111,8 +152,8 @@ class TestTraceFile:
         for _ in range(data.draw(st.integers(1, 2))):
             body = len(lines) - start
             k = start + data.draw(st.integers(0, max(body - 1, 0)))
-            edit = data.draw(st.sampled_from(
-                ("drop", "duplicate", "swap", "corrupt", "negate", "repeat", "bump", "space")))
+            edit = data.draw(st.sampled_from(("drop", "duplicate", "swap", "extend", "corrupt",
+                                              "negate", "repeat", "bump", "space")))
             if body < 1:
                 break
             tokens = lines[k].split(" ")
@@ -124,9 +165,12 @@ class TestTraceFile:
             elif edit == "swap":
                 j = start + data.draw(st.integers(0, body - 1))
                 lines[k], lines[j] = lines[j], lines[k]
+            elif edit == "extend":  # a well-formed line for the round after the last
+                lines.append(f"{trace.rho} " + lines[k].partition(" ")[2])
             elif edit == "corrupt":
                 tokens[at] = data.draw(st.sampled_from(
-                    ("", "x", "1.5", "0:", ":1", "1:1:1", "+1:1", "0:99", "9:1", "in", "out", "٣:1")))
+                    ("", "x", "1.5", "0:", ":1", "1:1:1", "+1:1", "0:99", "9:1", "in", "out", "٣:1",
+                     "0_1:1", "01:1", "0:01", "0:0")))
             elif edit == "negate" and ":" in tokens[at]:
                 i, c = tokens[at].split(":")
                 tokens[at] = f"{i}:-{c}"
@@ -137,10 +181,11 @@ class TestTraceFile:
                 tokens[at] = f"{i}:{int(c) + 1}"
             elif edit == "space":
                 tokens[at] = data.draw(st.sampled_from((" ", "\t", "  "))) + tokens[at]
-            if edit not in ("drop", "duplicate", "swap"):
+            if edit not in ("drop", "duplicate", "swap", "extend"):
                 lines[k] = " ".join(tokens)
         path.write_text("\n".join(lines) + "\n")
-        assert trace_verdict(load_trace, path) == trace_verdict(scan_trace, path)
+        with mock.patch.object(mixsim, "_SAVE_BLOCK", block):
+            assert trace_verdict(load_trace, path) == trace_verdict(reference_load_trace, path)
 
 
 # rounds 0 and 1 of a threshold trace with t=2, 3 senders and 2 receivers
@@ -160,25 +205,42 @@ NON_CANONICAL = {
     "double space": "1 in 0:1  1:1 out 0:1 1:1",
     "trailing space": "1 in 0:1 1:1 out 0:1 1:1 ",
     "missing out": "1 in 0:1 1:1 0:1 1:1",
+    "non-ASCII digit": "1 in ٣:1 1:1 out 0:1 1:1",
+    "underscore": "1 in 0_1:1 1:1 out 0:1 1:1",
+    "column with a leading zero": "1 in 00:1 1:1 out 0:1 1:1",
+    "count with a leading zero": "1 in 0:01 1:1 out 0:1 1:1",
+    "zero count": "1 in 0:1 1:1 2:0 out 0:1 1:1",
+    "skipped round": "2 in 0:1 1:1 out 0:1 1:1",
 }
+HEADER = "# mixtrace n_senders=3 n_receivers=2 t=2 kind=threshold alpha=1.0 m=0 rho=2 seed=0\n"
 
 
 @pytest.mark.parametrize("line", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
 def test_column_parse_leaves_other_lines_to_the_scan(tmp_path, line):
+    # the block is rejected, and the line-at-a-time parse names the line
     path = tmp_path / "trace.txt"
-    path.write_text("# mixtrace n_senders=3 n_receivers=2 t=2 kind=threshold alpha=1.0 m=0 "
-                    f"rho=2 seed=0\n{CANONICAL[0]}\n{line}\n")
-    assert _parse_rounds(_read_trace_file(path)) is None
-    assert trace_verdict(load_trace, path) == trace_verdict(scan_trace, path)
+    path.write_text(f"{HEADER}{CANONICAL[0]}\n{line}\n")
+    with pytest.raises(ParseError) as info:
+        load_trace(path)
+    assert info.value.line_no == 3
+    assert trace_verdict(reference_load_trace, path) == ("ParseError", 3)
+
+
+def test_reordered_rounds_are_rejected(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{HEADER}{CANONICAL[1]}\n{CANONICAL[0]}\n")
+    with pytest.raises(ParseError, match="line 2: .*expected round 0, got round 1"):
+        load_trace(path)
 
 
 def test_column_parse_reads_canonical_lines(tmp_path):
     path = tmp_path / "trace.txt"
-    path.write_text("# mixtrace n_senders=3 n_receivers=2 t=2 kind=threshold alpha=1.0 m=0 "
-                    "rho=2 seed=0\n" + "\n".join(CANONICAL) + "\n")
-    trace = _parse_rounds(_read_trace_file(path))
-    assert trace.U.tolist() == [[2, 0, 0], [1, 1, 0]]
-    assert trace.Y.tolist() == [[0, 2], [1, 1]]
+    path.write_text(HEADER + "\n".join(CANONICAL) + "\n")
+    for block in (1, 2):
+        with mock.patch.object(mixsim, "_SAVE_BLOCK", block):
+            trace = load_trace(path)
+        assert trace.U.tolist() == [[2, 0, 0], [1, 1, 0]]
+        assert trace.Y.tolist() == [[0, 2], [1, 1]]
 
 
 def reference_estimate_text(est) -> str:
@@ -236,14 +298,23 @@ def event_logs(draw):
     ("0,a,x\n1.5,b,y\n", 2),
 ])
 def test_block_parse_leaves_bad_lines_to_the_scan(tmp_path, text, line_no):
+    # the block is rejected with the id codes untouched, and the
+    # line-at-a-time parse names the line
     path = tmp_path / "events.csv"
     path.write_text(text)
     senders, receivers = {}, {}
-    assert ingest._parse_block(text.splitlines(True), senders, receivers) is None
-    assert senders == receivers == {}  # the scan starts from the same codes
+    with pytest.raises(ValueError):
+        ingest._parse_block(text.splitlines(True), senders, receivers)
+    assert senders == receivers == {}
     with pytest.raises(ParseError) as info:
         load_events(path)
     assert info.value.line_no == line_no
+
+
+def test_block_of_comments_parses_to_empty_columns():
+    ts, sent, received = ingest._parse_block(["# note\n", "\n", "  \n"], {}, {})
+    assert ts.dtype == np.int64 and ts.size == 0
+    assert sent == received == []
 
 
 def events_verdict(read, path):
@@ -255,14 +326,31 @@ def events_verdict(read, path):
     return (log.timestamps.tolist(), log.senders.tolist(), log.receivers.tolist(), names)
 
 
-def scan_events(path):
-    """The whole file read by the line scan, sorted as load_events sorts."""
-    senders, receivers = {}, {}
+def reference_load_events(path):
+    """The event log read one line at a time, sorted as load_events sorts."""
+    senders, receivers = {}, {}  # id -> code, in order of first appearance
+    ts, sent, received = [], [], []
     with open(path) as fh:
-        ts, sent, received = ingest._scan_block(fh.readlines(), 1, senders, receivers)
-    order = np.argsort(ts, kind="stable")
-    return ingest.EventLog(ts[order], np.asarray(sent, dtype=np.int64)[order],
-                           np.asarray(received, dtype=np.int64)[order],
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != 3 or "" in fields[1:]:
+                raise ParseError("bad fields", line_no=line_no)
+            try:
+                stamp = int(fields[0])
+            except ValueError:
+                raise ParseError("bad timestamp", line_no=line_no) from None
+            if not -2**63 <= stamp < 2**63:
+                raise ParseError("timestamp beyond 64 bits", line_no=line_no)
+            ts.append(stamp)
+            sent.append(senders.setdefault(fields[1], len(senders)))
+            received.append(receivers.setdefault(fields[2], len(receivers)))
+    order = np.argsort(np.array(ts, dtype=np.int64), kind="stable")
+    return ingest.EventLog(np.array(ts, dtype=np.int64)[order],
+                           np.array(sent, dtype=np.int64)[order],
+                           np.array(received, dtype=np.int64)[order],
                            tuple(senders), tuple(receivers))
 
 
@@ -272,8 +360,8 @@ class TestEventLog:
     def test_block_parse_agrees_with_line_scan(self, tmp_path, text, block):
         path = tmp_path / "events.csv"
         path.write_text(text)
-        scanned = events_verdict(scan_events, path)
-        if scanned[0] == []:
+        expected = events_verdict(reference_load_events, path)
+        if expected[0] == []:
             return  # no events: load_events raises EmptyLogError instead
         with mock.patch.object(ingest, "EVENT_BLOCK", block):
-            assert events_verdict(load_events, path) == scanned
+            assert events_verdict(load_events, path) == expected

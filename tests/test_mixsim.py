@@ -316,8 +316,9 @@ class TestTraceFile:
         (["0 in 0:2 out 1:2", "1 in 0:1 out 1:2"], "threshold", 0, 3),  # U row sums to 1
         (["0 in 0:2 out 1:2", "1 in 0:-1 1:3 out 1:2"], "threshold", 0, 3),  # negative count
         (["0 in 0:2 out 1:2", "1 in 0:2 out 0:1 1:2"], "threshold", 0, 3),  # Y row sums to 3
-        (["1 in 0:2 out 1:1", "0 in 0:2 out 0:3"], "binomial_pool", 0, 3),  # 3 out of 2 entered
+        (["0 in 0:2 out 1:1", "1 in 0:2 out 0:4"], "binomial_pool", 0, 3),  # 5 out of 4 entered
         (["0 in 0:2 out 1:4", "1 in 0:2 out 1:2"], "binomial_pool", 1, 3),  # 4 out of 3 entered
+        (["0 in 0:2 out 1:1", "1 in 0:1 out 0:1 1:1"], "threshold", 0, 2),  # Y row 0 and U row 1
     ])
     def test_count_errors_name_the_line(self, tmp_path, body, kind, m, line):
         path = self._write(tmp_path, body, kind=kind, m=m)
@@ -325,16 +326,30 @@ class TestTraceFile:
             load_trace(path)
         assert info.value.line_no == line
 
+    def test_line_without_out_rejected(self, tmp_path):
+        # a pool round may deliver nothing: without its " out " the line would read as such a round
+        path = self._write(tmp_path, ["0 in 0:2 out ", "1 in 0:2"], kind="binomial_pool")
+        with pytest.raises(ParseError, match="line 3:"):
+            load_trace(path)
+
+    def test_line_beyond_rho_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 in 0:2 out 1:2", "2 in 0:2 out 1:2"])
+        with pytest.raises(ParseError, match="line 4:.*rho=2"):
+            load_trace(path)
+
     def test_text_between_round_and_in_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 x in 0:2 out 1:2"])
         with pytest.raises(ParseError, match="line 3:"):
             load_trace(path)
 
-    def test_padded_lines_still_read(self, tmp_path):
-        path = self._write(tmp_path, ["  0  in 0:2\tout 1:2 ", "1 in 0:1 1:1 out 0:2"])
-        trace = load_trace(path)
-        assert trace.U.tolist() == [[2, 0], [1, 1]]
-        assert trace.Y.tolist() == [[0, 2], [2, 0]]
+    def test_padded_lines_rejected(self, tmp_path):
+        # no writer pads a line, so the reader accepts only the layout save_trace writes
+        for padded, line in ((0, 2), (1, 3)):
+            body = ["0 in 0:2 out 1:2", "1 in 0:1 1:1 out 0:2"]
+            body[padded] = "  " + body[padded].replace(" out", "\tout") + " "
+            with pytest.raises(ParseError) as info:
+                load_trace(self._write(tmp_path, body))
+            assert info.value.line_no == line
 
     @pytest.mark.parametrize("header, line", [
         ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=pool alpha=0.5 m=0 rho=1 seed=0", 1),

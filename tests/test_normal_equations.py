@@ -69,6 +69,17 @@ def test_lsda_is_invariant_under_round_permutation(trace, data):
 
 
 @PROPERTY
+@given(trace=traces(kinds=("threshold",)), data=st.data())
+def test_lsda_is_equivariant_under_user_permutation(trace, data):
+    senders = np.array(data.draw(st.permutations(range(trace.n_senders))))
+    receivers = np.array(data.draw(st.permutations(range(trace.n_receivers))))
+    relabelled = make_trace(trace.U[:, senders], trace.Y[:, receivers])
+    expected = lsda(trace).P_hat[np.ix_(senders, receivers)]
+    np.testing.assert_allclose(lsda(relabelled).P_hat, expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
+
+
+@PROPERTY
 @given(trace=traces(), block=st.integers(1, 16))
 def test_rls_equals_lsda(trace, block):
     with pytest.MonkeyPatch.context() as mp:
