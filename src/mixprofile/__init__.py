@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     EmptyLogError,

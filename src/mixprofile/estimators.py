@@ -41,6 +41,8 @@ INIT_PROJECTED = "unconstrained_projected"
 RIDGE_SCALE = 1e-10
 #: rounds per block that :func:`rls` feeds into the normal equations
 RLS_BLOCK = 1024
+#: projected steps with an unchanged support before :func:`clsda` turns to its face
+FACE_SETTLE = 3
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,19 @@ class ProfileEstimate:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options for :func:`clsda`'s accelerated projected-gradient solver.
+    """Options for :func:`clsda`'s projected-gradient and conjugate-gradient solver.
 
-    The step size is ``step_scale / lambda_max`` where ``lambda_max`` is the
-    largest eigenvalue of the Gram matrix.  ``step_scale <= 1`` is the range
-    in which the accelerated (momentum) steps converge at their fast rate;
+    The projected step size is ``step_scale / lambda_max`` where ``lambda_max``
+    is the largest eigenvalue of the Gram matrix.  ``step_scale <= 1`` is the
+    range in which the accelerated (momentum) steps converge at their fast rate;
     up to 2 the plain steps still decrease the objective, and momentum steps
-    that overshoot are replaced by plain ones.  The solver stops once the
-    relative Frobenius change of the accepted iterate, ``|P_{k+1} - P_k| / |P_k|``,
-    is at most ``tol``, as for plain projected gradient.  ``max_iter`` caps
-    the iterations (a momentum step replaced by a plain one counts once).
-    ``init`` picks the start: the uniform profile, or the unconstrained
-    least-squares solution projected onto the simplex.
+    that overshoot are replaced by plain ones.  The solver converges once a
+    projected step's relative Frobenius change, ``|P_{k+1} - P_k| / |P_k|``, is
+    at most ``tol``; a conjugate-gradient run on a face ends at the same change.
+    ``max_iter`` caps the steps of both kinds, one Gram product each (a momentum
+    step replaced by a plain one counts once).  ``init`` picks the start: the
+    uniform profile, or the unconstrained least-squares solution projected
+    onto the simplex.
     """
 
     step_scale: float = 1.0
@@ -183,14 +186,21 @@ def lsda(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row onto the probability simplex."""
-    n = mat.shape[1]
-    u = -np.sort(-mat, axis=1)
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, n + 1)
-    # the feasibility condition holds on a prefix of each sorted row
-    n_pos = np.count_nonzero(u - (css - 1.0) / k > 0, axis=1)
-    theta = (css[np.arange(mat.shape[0]), n_pos - 1] - 1.0) / n_pos
-    return np.maximum(mat - theta[:, None], 0.0)
+    u = np.sort(mat, axis=1)[:, ::-1]
+    shift = np.cumsum(u, axis=1)
+    shift -= 1.0
+    shift /= np.arange(1, mat.shape[1] + 1)
+    # the feasibility condition u > shift holds on a prefix of each sorted row
+    n_pos = np.count_nonzero(u > shift, axis=1)
+    out = mat - shift[np.arange(mat.shape[0]), n_pos - 1][:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _face_tangent(x: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """Zero ``x`` off the 0/1 mask ``face``, then subtract each row's mean over it."""
+    x = x * face
+    x -= face * (x.sum(axis=1, keepdims=True) / face.sum(axis=1, keepdims=True))
+    return x
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -211,29 +221,33 @@ def clsda(
     opts: SolverOptions | None = None,
     f_hat: np.ndarray | None = None,
 ) -> ProfileEstimate:
-    """Simplex-constrained least-squares estimate by accelerated projected gradient.
+    """Simplex-constrained least-squares estimate by projected and conjugate gradient.
 
     Minimises ``||Y - A @ P||_F**2`` with every sender row of ``P`` on the
     probability simplex, working only on the normal equations
-    ``G = A.T @ A``, ``C = A.T @ Y``.  Iteration ``k`` extrapolates
+    ``G = A.T @ A``, ``C = A.T @ Y``.  A projected step extrapolates
     ``Z = P_k + beta_k * (P_k - P_{k-1})`` with the FISTA momentum
     ``beta_k = (t_k - 1) / t_{k+1}``, ``t_{k+1} = (1 + sqrt(1 + 4 t_k**2)) / 2``,
-    ``t_1 = 1`` (Beck & Teboulle 2009), and steps
-    ``P_{k+1} = proj(Z - mu * (G @ Z - C))`` with
-    ``mu = step_scale / lambda_max(G)``.  ``G @ Z`` is the same combination of
-    the stored ``G @ P_k`` and ``G @ P_{k-1}``, so an iteration costs one Gram
-    product and one projection.
+    ``t_1 = 1`` (Beck & Teboulle 2009), and steps ``P_{k+1} = proj(Z - mu *
+    (G @ Z - C))`` with ``mu = step_scale / lambda_max(G)``; ``G @ Z`` comes
+    from the stored ``G @ P_k`` and ``G @ P_{k-1}``.  The momentum restarts
+    (``t = 1``) when ``<Z - P_{k+1}, P_{k+1} - P_k> > 0`` (gradient restart;
+    O'Donoghue & Candès 2015), and a momentum step that raises the objective
+    is redone as a plain step from ``P_k``.
 
-    The momentum restarts (``t = 1``, so the next step is plain) when the
-    step turns back against the last move, ``<Z - P_{k+1}, P_{k+1} - P_k> > 0``
-    (gradient restart; O'Donoghue & Candès 2015), and when a momentum step
-    raises the objective: that iteration then takes a plain projected-gradient
-    step from ``P_k`` instead.  Accepted objective values, returned in
-    ``objective_history``, therefore never increase beyond rounding; a plain
-    step that raises the objective raises :class:`SolverDivergedError`.  The
-    run stops when the relative Frobenius change of the accepted iterate is at
-    most ``tol``; if that does not happen within ``max_iter`` iterations the
-    last iterate is returned with ``converged=False``.
+    Once the support ``S = P > 0`` has stayed the same for :data:`FACE_SETTLE`
+    projected steps, conjugate gradient runs on the face ``{P[~S] = 0, rows
+    sum to 1}`` (GPCG; Moré & Toraldo 1991), where the Gram's isolated top
+    eigenvalue costs about one extra step instead of setting the step size.
+    Projected steps resume, without momentum, after a step that stops at an
+    entry reaching 0 (set to exactly 0) or changes ``P`` by at most ``tol``.
+
+    Each step of either kind costs one Gram product and counts in
+    ``iterations``; ``objective_history`` holds every accepted objective, and
+    a plain or conjugate-gradient step that raises it raises
+    :class:`SolverDivergedError`.  Only a projected step with a relative
+    Frobenius change of at most ``tol`` sets ``converged``, so a converged
+    estimate is a projection; a run cut by ``max_iter`` also ends on the simplices.
     """
     if opts is None:
         opts = SolverOptions()
@@ -260,31 +274,55 @@ def clsda(
     p_prev, gp_prev, t = p, gp, 1.0
     history = [objective]
     converged = False
-    iterations = 0
+    iterations = settled = 0
+    face = None  # 0/1 mask of the support while conjugate gradient runs on its face
     for iterations in range(1, opts.max_iter + 1):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        z, gz = p + beta * (p - p_prev), gp + beta * (gp - gp_prev)
-        p_new, gp_new, obj_new = projected_step(z, gz)
-        if beta > 0.0 and obj_new > objective:
-            # the momentum overshot: drop it and redo the step from P_k; only a
-            # plain step's rise is judged by the divergence guard below
-            t_next, z = 1.0, p
-            p_new, gp_new, obj_new = projected_step(p, gp)
+        if face is None and settled >= FACE_SETTLE:
+            face, d, rr = (p > 0.0).astype(float), 0.0, np.inf
+        if face is None:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            z, gz = p + beta * (p - p_prev), gp + beta * (gp - gp_prev)
+            p_new, gp_new, obj_new = projected_step(z, gz)
+            if beta > 0.0 and obj_new > objective:
+                # the momentum overshot: drop it and redo the step from P_k; only a
+                # plain step's rise is judged by the divergence guard below
+                t_next, z = 1.0, p
+                p_new, gp_new, obj_new = projected_step(p, gp)
+            if np.vdot(z - p_new, p_new - p) > 0.0:
+                t_next = 1.0
+        else:
+            r = _face_tangent(cross - gp, face)
+            rr, rr_prev = float(np.vdot(r, r)), rr
+            d = r + (rr / rr_prev) * d
+            gd = gram @ d
+            dgd = float(np.vdot(d, gd))
+            a = rr / dgd if dgd > 0.0 else 0.0
+            # ratio test: stop the step at the first entry to reach 0
+            ratios = np.divide(p, -d, out=np.full_like(p, np.inf), where=d < 0.0)
+            block = int(np.argmin(ratios))
+            blocked = bool(ratios.flat[block] <= a)
+            a = min(a, ratios.flat[block])
+            p_new, gp_new = np.maximum(p + a * d, 0.0), gp + a * gd
+            if blocked:
+                p_new.flat[block] = 0.0
+            obj_new = eq.residual(p_new, gp_new)
         if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
             raise SolverDivergedError(
-                f"projected-gradient objective increased at iteration {iterations}: "
+                f"clsda objective increased at iteration {iterations}: "
                 f"{objective!r} -> {obj_new!r}"
             )
-        if np.vdot(z - p_new, p_new - p) > 0.0:
-            t_next = 1.0
         step = float(np.linalg.norm(p_new - p)) / max(float(np.linalg.norm(p)), 1e-300)
-        p_prev, gp_prev = p, gp
-        p, gp, objective, t = p_new, gp_new, obj_new, t_next
+        if face is None:
+            settled = settled + 1 if np.array_equal(p_new > 0.0, p > 0.0) else 0
+            p_prev, gp_prev, t = p, gp, t_next
+        p, gp, objective = p_new, gp_new, obj_new
         history.append(objective)
-        if step <= opts.tol:
+        if face is None and step <= opts.tol:
             converged = True
             break
+        if face is not None and (blocked or step <= opts.tol):
+            face, settled, p_prev, gp_prev, t = None, 0, p, gp, 1.0
 
     return ProfileEstimate(
         P_hat=p,

@@ -13,6 +13,7 @@ routing for validation.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,11 +374,15 @@ def load_trace(path) -> Trace:
     parsed a block of :data:`_SAVE_BLOCK` at a time, and a block that fails
     is parsed again line by line, so a padded, reordered or otherwise bad
     line, a missing round and counts that break :meth:`Trace.validate` raise
-    :class:`ParseError` with the line.
+    :class:`ParseError` with the line.  A header whose ``rho`` the rest of
+    the file cannot hold raises at line 1, before anything is allocated.
     """
     with open(path) as fh:
         head = list(itertools.islice(fh, 2))
         rho, n_senders, n_receivers, config, seed, body_start = _read_header(head)
+        rest = os.fstat(fh.fileno()).st_size - len("".join(head[:body_start]).encode())
+        if rho * 10 > rest:  # the shortest round line, "0 in 0:1 out \n", takes 14 bytes
+            raise ParseError(f"rho={rho} rounds cannot fit in the {rest} bytes", line_no=1)
         U = np.zeros((rho, n_senders), dtype=np.int64)
         Y = np.zeros((rho, n_receivers), dtype=np.int64)
         # no count in a valid trace exceeds the messages that can have entered the mix

@@ -166,7 +166,7 @@ def save_population(pop: UserPopulation, path) -> None:
 
 
 def load_population(path) -> UserPopulation:
-    """Read a population file written by :func:`save_population`."""
+    """Read a population file written by :func:`save_population`, checking sizes first."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -176,6 +176,8 @@ def load_population(path) -> UserPopulation:
         n_s = int(doc["n_senders"])
         n_r = int(doc["n_receivers"])
         frequencies = np.asarray(doc["frequencies"], dtype=float)
+        if frequencies.shape != (n_s,):
+            raise ValueError(f"{frequencies.size} frequencies for n_senders={n_s}")
         profiles = np.zeros((n_s, n_r))
         users = set()
         for row in doc["profiles"]:
@@ -192,6 +194,6 @@ def load_population(path) -> UserPopulation:
                     raise ValueError(f"user {i} lists receiver {j} twice")
                 receivers.add(j)
                 profiles[i, j] = float(entry["prob"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, MemoryError) as exc:
         raise ParseError(f"malformed population document: {exc}") from exc
     return UserPopulation(n_s, n_r, profiles, frequencies)

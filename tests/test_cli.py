@@ -110,6 +110,21 @@ class TestBadInput:
         assert match in err
         assert "Traceback" not in err
 
+    def test_trace_header_beyond_the_file(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        path.write_text("# mixtrace n_senders=2 n_receivers=2 t=2 kind=threshold alpha=1.0 m=0 "
+                        "rho=1000000000000 seed=0\n0 in 0:2 out 1:2\n")
+        self.check_error(capsys, "attack", "--trace", path, "--out", tmp_path / "est.txt",
+                         match="line 1: rho=1000000000000 rounds cannot fit")
+
+    def test_population_header_beyond_its_frequencies(self, tmp_path, capsys):
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps({"n_senders": 10**9, "n_receivers": 2,
+                                    "frequencies": [0.5, 0.5], "profiles": []}))
+        self.check_error(capsys, "simulate", "--population", path, "--rho", 10,
+                         "--out", tmp_path / "trace.txt",
+                         match="2 frequencies for n_senders=1000000000")
+
     def test_spec_with_unknown_key(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{\n "n_users": 8,\n "repititions": 2\n}\n')

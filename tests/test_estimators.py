@@ -17,6 +17,7 @@ from mixprofile import (
     SolverOptions,
     Trace,
     clsda,
+    gen_population,
     load_estimate,
     lsda,
     project_simplex,
@@ -26,6 +27,7 @@ from mixprofile import (
     simulate_trace,
     zero_clip,
 )
+from mixprofile import estimators
 from mixprofile.estimators import _project_rows
 
 from conftest import make_trace, random_trace, sda_scenario_trace
@@ -42,6 +44,18 @@ def project_simplex_oracle(v, tol=1e-12):
         else:
             hi = mid
     return np.maximum(v - (lo + hi) / 2, 0)
+
+
+def project_rows_reference(mat):
+    """The sort-and-negate formula of the row projection, which ``_project_rows``
+    must match bit for bit."""
+    n = mat.shape[1]
+    u = -np.sort(-mat, axis=1)
+    css = np.cumsum(u, axis=1)
+    k = np.arange(1, n + 1)
+    n_pos = np.count_nonzero(u - (css - 1.0) / k > 0, axis=1)
+    theta = (css[np.arange(mat.shape[0]), n_pos - 1] - 1.0) / n_pos
+    return np.maximum(mat - theta[:, None], 0.0)
 
 
 def plain_projected_gradient(trace, tol, max_iter=100_000):
@@ -65,6 +79,27 @@ def plain_projected_gradient(trace, tol, max_iter=100_000):
 def small_pool_trace():
     _, trace = random_trace(n_users=12, t=5, rho=400, seed=5, kind="binomial_pool", alpha=0.5, m=5)
     return trace
+
+
+def zipf_pool_trace():
+    """A pool trace whose Zipf sending frequencies make the Gram ill-conditioned."""
+    pop = gen_population(12, 4, "zipf", "zipf", seed=5)
+    cfg = MixConfig(kind="binomial_pool", t=5, alpha=0.5, m=5, pool_prior=pop.frequencies)
+    return simulate_trace(pop, cfg, rho=400, seed=6)
+
+
+def face_runs(monkeypatch):
+    """The supports on which clsda has run conjugate gradient, in order."""
+    faces = []
+    tangent = estimators._face_tangent
+
+    def spy(x, face):
+        if not any(face is seen for seen in faces):
+            faces.append(face)
+        return tangent(x, face)
+
+    monkeypatch.setattr(estimators, "_face_tangent", spy)
+    return faces
 
 
 def assert_non_increasing(history):
@@ -189,6 +224,50 @@ class TestClsda:
         assert est.converged
         assert est.iterations <= plain_iterations / 2
 
+    def test_face_phases_reach_the_plain_fixed_point(self, monkeypatch):
+        trace = zipf_pool_trace()
+        faces = face_runs(monkeypatch)
+        est = clsda(trace)
+        assert est.converged
+        assert len(faces) > 1
+        reference, _ = plain_projected_gradient(trace, tol=1e-13)
+        assert np.abs(est.P_hat - reference).max() <= 1e-7
+        assert_non_increasing(est.objective_history)
+
+    def test_every_stop_lies_on_the_simplex(self, monkeypatch):
+        # a run cut at iteration k of a face phase stops on a conjugate-gradient step
+        trace = small_pool_trace()
+        faces = face_runs(monkeypatch)
+        converged_at = clsda(trace).iterations
+        assert faces
+        for max_iter in range(1, converged_at + 1):
+            est = clsda(trace, SolverOptions(max_iter=max_iter))
+            assert est.iterations == max_iter
+            assert len(est.objective_history) == max_iter + 1
+            assert np.all(est.P_hat >= 0.0)
+            np.testing.assert_allclose(est.P_hat.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+    def test_only_a_projected_step_converges(self, monkeypatch):
+        projections = []
+        project = estimators._project_rows
+
+        def spy(mat):
+            projections.append(project(mat))
+            return projections[-1]
+
+        monkeypatch.setattr(estimators, "_project_rows", spy)
+        est = clsda(zipf_pool_trace())
+        assert est.converged
+        assert est.P_hat is projections[-1]
+
+    def test_conjugate_gradient_step_uphill_raises(self, monkeypatch):
+        # with the tangent flipped, the first conjugate-gradient step (after three
+        # settled projected steps) climbs
+        tangent = estimators._face_tangent
+        monkeypatch.setattr(estimators, "_face_tangent", lambda x, face: -tangent(x, face))
+        with pytest.raises(SolverDivergedError, match="objective increased at iteration 4"):
+            clsda(small_pool_trace())
+
     def test_not_worse_than_unconstrained(self):
         for seed in range(3):
             pop, trace = random_trace(n_users=12, t=5, rho=400, seed=20 + seed)
@@ -279,6 +358,11 @@ class TestProjectionProperties:
         p = _project_rows(v)
         for row, got in zip(v, p):
             np.testing.assert_array_equal(project_simplex(row), got)
+
+    @PROJECTION
+    @given(v=MATRICES)
+    def test_matches_the_sort_and_negate_formula_bit_for_bit(self, v):
+        assert _project_rows(v).tobytes() == project_rows_reference(v).tobytes()
 
     @PROJECTION
     @given(v=MATRICES)

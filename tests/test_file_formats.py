@@ -7,6 +7,7 @@ writers still produce the bytes of the one-token-at-a-time reference writers
 kept next to them.
 """
 
+import os
 import re
 from unittest import mock
 
@@ -86,15 +87,18 @@ ROUND_LINE = re.compile(rf"(0|[1-9][0-9]*) in ({PAIRS}) out ({PAIRS})")
 def reference_load_trace(path):
     """The trace file read one line at a time against the canonical grammar.
 
-    Returns the trace.  The first line that breaks the grammar, names a
-    round out of order, a user out of range or out of order, or a count
-    outside ``1 .. m + t·rho`` raises :class:`ParseError` naming it; then a
-    missing round; then the first line of a round whose counts break a row
-    sum rule.
+    Returns the trace.  A header that claims more rounds than the rest of
+    the file holds at 10 bytes a round raises :class:`ParseError` at line 1.
+    Then the first line that breaks the grammar, names a round out of order,
+    a user out of range or out of order, or a count outside ``1 .. m + t·rho``
+    raises :class:`ParseError` naming it; then a missing round; then the first
+    line of a round whose counts break a row sum rule.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     rho, n_senders, n_receivers, config, _, body_start = mixsim._read_header(lines[:2])
+    if rho * 10 > os.path.getsize(path) - sum(len(line) + 1 for line in lines[:body_start]):
+        raise ParseError("rho rounds cannot fit", line_no=1)
     U = np.zeros((rho, n_senders), dtype=np.int64)
     Y = np.zeros((rho, n_receivers), dtype=np.int64)
     cap = config.m + config.t * rho

@@ -306,8 +306,10 @@ class TestTraceFile:
 
     @pytest.mark.parametrize("record", ["0 in 0:5 0:2 out 1:2", "0 in 0:1 1:1 out 1:1 1:1"])
     def test_repeated_user_in_a_line_rejected(self, tmp_path, record):
-        # the last pair used to win: 0:5 0:2 loaded as U=[[2, 0]]
-        path = self._write(tmp_path, [record], rho=4)
+        # the last pair used to win: 0:5 0:2 loaded as U=[[2, 0]]; rho=4 lets a
+        # count of 5 through the cap, and rounds 1-3 fill the file to its rho
+        body = [record] + [f"{r} in 0:2 out 1:2" for r in (1, 2, 3)]
+        path = self._write(tmp_path, body, rho=4)
         with pytest.raises(ParseError, match="line 2:.*twice") as info:
             load_trace(path)
         assert info.value.line_no == 2
@@ -331,6 +333,14 @@ class TestTraceFile:
         path = self._write(tmp_path, ["0 in 0:2 out ", "1 in 0:2"], kind="binomial_pool")
         with pytest.raises(ParseError, match="line 3:"):
             load_trace(path)
+
+    def test_rho_beyond_the_file_rejected_before_allocating(self, tmp_path):
+        # 10**12 rounds would take 32 TB of counts; 17 bytes of rounds hold at most one
+        path = self._write(tmp_path, ["0 in 0:2 out 1:2"], rho=10**12)
+        with pytest.raises(ParseError, match="line 1: rho=1000000000000 rounds cannot fit in "
+                                             "the 17 bytes") as info:
+            load_trace(path)
+        assert info.value.line_no == 1
 
     def test_line_beyond_rho_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 in 0:2 out 1:2", "2 in 0:2 out 1:2"])

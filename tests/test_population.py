@@ -157,6 +157,27 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError, match=match):
             load_population(path)
 
+    def test_n_senders_beyond_the_frequencies_rejected(self, tmp_path):
+        # 10**9 x 2 profiles would take 16 GB; the two frequencies refute the header first
+        doc = {"n_senders": 10**9, "n_receivers": 2, "frequencies": [0.5, 0.5], "profiles": []}
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="2 frequencies for n_senders=1000000000"):
+            load_population(path)
+
+    def test_profiles_too_large_to_allocate_rejected(self, tmp_path, monkeypatch):
+        doc = {"n_senders": 2, "n_receivers": 10**12, "frequencies": [0.5, 0.5], "profiles": []}
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(doc))
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        # stands in for the allocator, so that the test itself allocates nothing
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(ParseError, match="malformed population document: cannot allocate"):
+            load_population(path)
+
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "pop.json"
         path.write_text('{\n "n_senders": 2,\n "n_receivers": 2 oops\n}\n')
