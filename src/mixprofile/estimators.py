@@ -24,7 +24,7 @@ from .errors import (
     SingularSystemError,
     SolverDivergedError,
 )
-from .mixsim import Trace
+from .mixsim import Trace, _read_blocks
 from .observe import expected_departures
 
 LSDA = "lsda"
@@ -137,9 +137,9 @@ class NormalEquations:
         self.rounds = 0
 
     @classmethod
-    def from_trace(cls, trace: Trace, f_hat=None, block: int | None = None) -> NormalEquations:
+    def from_trace(cls, trace: Trace, block: int | None = None) -> NormalEquations:
         """Accumulate a whole trace, ``block`` rounds at a time (default: all at once)."""
-        a = expected_departures(trace, f_hat=f_hat).U_hat
+        a = expected_departures(trace).U_hat
         eq = cls(trace.n_senders, trace.n_receivers)
         step = block or trace.rho
         for start in range(0, trace.rho, step):
@@ -170,7 +170,7 @@ class NormalEquations:
         return float(sla.eigvalsh(self.gram, subset_by_index=[top, top])[0])
 
 
-def lsda(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> ProfileEstimate:
+def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     """Unconstrained least-squares profile estimate.
 
     Solves the normal equations ``(A.T @ A) r_j = A.T @ y_j`` for every
@@ -179,7 +179,7 @@ def lsda(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> 
     Gram matrix is rank deficient unless ``ridge`` enables the diagonal
     jitter fallback.
     """
-    eq = NormalEquations.from_trace(trace, f_hat=f_hat)
+    eq = NormalEquations.from_trace(trace)
     p_hat = eq.solve(ridge)
     return ProfileEstimate(P_hat=p_hat, method=LSDA, iterations=1, residual=eq.residual(p_hat))
 
@@ -216,11 +216,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return _project_rows(v[None, :])[0]
 
 
-def clsda(
-    trace: Trace,
-    opts: SolverOptions | None = None,
-    f_hat: np.ndarray | None = None,
-) -> ProfileEstimate:
+def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     """Simplex-constrained least-squares estimate by projected and conjugate gradient.
 
     Minimises ``||Y - A @ P||_F**2`` with every sender row of ``P`` on the
@@ -251,7 +247,7 @@ def clsda(
     """
     if opts is None:
         opts = SolverOptions()
-    eq = NormalEquations.from_trace(trace, f_hat=f_hat)
+    eq = NormalEquations.from_trace(trace)
     gram, cross = eq.gram, eq.cross
 
     lam = eq.lambda_max()
@@ -334,14 +330,14 @@ def clsda(
     )
 
 
-def rls(trace: Trace, ridge: bool = False, f_hat: np.ndarray | None = None) -> ProfileEstimate:
+def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     """Recursive least-squares estimate: the trace streamed in blocks of rounds.
 
     Feeds :data:`RLS_BLOCK` rounds at a time into :class:`NormalEquations`
     and solves once at the end; equal to :func:`lsda` within numerical
     precision (exactly for a threshold trace).  ``iterations`` counts rounds.
     """
-    eq = NormalEquations.from_trace(trace, f_hat=f_hat, block=RLS_BLOCK)
+    eq = NormalEquations.from_trace(trace, block=RLS_BLOCK)
     p = eq.solve(ridge)
     return ProfileEstimate(P_hat=p, method=RLS, iterations=eq.rounds, residual=eq.residual(p))
 
@@ -400,34 +396,44 @@ def save_estimate(est: ProfileEstimate, path) -> None:
         fh.writelines(row_format % tuple(row) for row in est.P_hat.tolist())
 
 
+def _parse_rows(lines: list, r0: int, shape: tuple) -> np.ndarray:
+    """Rows ``r0, r0+1, ...`` of an estimate matrix of ``shape`` from their lines.
+
+    A row beyond ``shape[0]``, a row of other than ``shape[1]`` entries and a
+    non-numeric or non-finite entry raise ValueError.
+    """
+    rows = [line.split() for line in lines]
+    if r0 + len(rows) > shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ValueError(f"expected {shape[0]} rows of {shape[1]} entries, "
+                         f"got {len(rows[0])} entries in row {r0 + 1}")
+    p = np.array([[float(v) for v in row] for row in rows])
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite matrix entry")
+    return p
+
+
 def load_estimate(path) -> ProfileEstimate:
-    """Read an estimate file written by :func:`save_estimate`."""
+    """Read an estimate file written by :func:`save_estimate`.
+
+    A bad header raises :class:`ParseError` at line 1.  The rows are parsed by
+    :func:`~mixprofile.mixsim._read_blocks`, so a bad row names its line; too
+    few rows raise without one.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# estimate "):
-        raise ParseError("missing estimate header", line_no=1)
-    header = dict(tok.partition("=")[::2] for tok in lines[0][len("# estimate ") :].split())
-    try:
-        method = header["method"]
-        iterations = int(header["iterations"])
-        residual = float(header["residual"])
-        converged = header["converged"] == "True"
-        shape = (int(header["n_senders"]), int(header["n_receivers"]))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad header: {exc}", line_no=1) from exc
-    if min(shape) < 1:
-        raise ParseError("n_senders and n_receivers must be >= 1", line_no=1)
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+        if not (head := fh.readline()).startswith("# estimate "):
+            raise ParseError("missing estimate header", line_no=1)
+        header = dict(tok.partition("=")[::2] for tok in head[len("# estimate ") :].split())
         try:
-            rows.append([float(v) for v in line.split()])
-        except ValueError as exc:
-            raise ParseError(f"bad matrix entry: {exc}", line_no=line_no) from exc
-        if len(rows[-1]) != shape[1]:
-            raise ParseError(f"expected {shape[1]} entries, got {len(rows[-1])}", line_no=line_no)
-    p_hat = np.array(rows).reshape(len(rows), shape[1])
-    if not (finite := np.isfinite(p_hat).all(axis=1)).all():
-        raise ParseError("non-finite matrix entry", line_no=int(np.argmin(finite)) + 2)
-    if p_hat.shape != shape:
-        raise ParseError(f"matrix shape {p_hat.shape} does not match header {shape}")
-    return ProfileEstimate(p_hat, method, iterations, residual, converged)
+            method, converged = header["method"], header["converged"] == "True"
+            iterations, residual = int(header["iterations"]), float(header["residual"])
+            shape = (int(header["n_senders"]), int(header["n_receivers"]))
+            if header["converged"] not in ("True", "False"):
+                raise ValueError(f"converged={header['converged']} is neither True nor False")
+            if iterations < 0 or residual < 0 or min(shape) < 1:  # a nan residual passes
+                raise ValueError("iterations and residual must be >= 0, and sizes >= 1")
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"bad header: {exc}", line_no=1) from exc
+        blocks = _read_blocks(fh, lambda lines, r0: _parse_rows(lines, r0, shape), 2)
+    if (n_rows := sum(map(len, blocks))) < shape[0]:
+        raise ParseError(f"{n_rows} matrix rows for n_senders={shape[0]}")
+    return ProfileEstimate(np.concatenate(blocks), method, iterations, residual, converged)

@@ -9,13 +9,12 @@ attacks.  Sender and receiver spaces are rectangular in general.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError, ParseError
-from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs
+from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError
+from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs, _read_blocks
 from .population import UserPopulation
 
 
@@ -31,10 +30,6 @@ class EventLog:
 
     def __len__(self):
         return self.timestamps.size
-
-
-#: lines parsed at a time, so no whole-file string column is ever held
-EVENT_BLOCK = 4096
 
 
 def _parse_block(lines: list, senders: dict, receivers: dict) -> tuple:
@@ -72,26 +67,14 @@ def load_events(path) -> EventLog:
     Lines starting with ``#`` are ignored; every other line must be
     ``timestamp,sender,receiver`` with an integer timestamp that fits 64 bits
     and non-empty ids; whitespace around a field is dropped.  Events are
-    stably sorted by timestamp.  The file is parsed a block of
-    :data:`EVENT_BLOCK` lines at a time; a block with a bad line is parsed
-    again one line at a time, so the :class:`ParseError` names the line.
+    stably sorted by timestamp.  The lines go through
+    :func:`~mixprofile.mixsim._read_blocks`, so a bad line raises
+    :class:`ParseError` naming it.
     """
     senders: dict[str, int] = {}  # id -> code, in order of first appearance
     receivers: dict[str, int] = {}
-    columns = []
     with open(path) as fh:
-        first_line_no = 1
-        while lines := list(itertools.islice(fh, EVENT_BLOCK)):
-            try:
-                columns.append(_parse_block(lines, senders, receivers))
-            except ValueError:
-                for line_no, line in enumerate(lines, first_line_no):
-                    try:
-                        _parse_block([line], senders, receivers)
-                    except ValueError as exc:
-                        raise ParseError(str(exc), line_no=line_no) from None
-                raise
-            first_line_no += len(lines)
+        columns = _read_blocks(fh, lambda lines, _: _parse_block(lines, senders, receivers), 1)
     if not any(len(c[0]) for c in columns):
         raise EmptyLogError(f"no events in {path}")
     ts, sent, received = (np.concatenate([np.asarray(c[k], dtype=np.int64) for c in columns])

@@ -243,9 +243,29 @@ def delay_stats(trace: Trace) -> dict:
     return {"mean_delay_rounds": mean, "delay_histogram": histogram}
 
 
-#: round lines written or read at a time, so a trace file's text is held
-#: O(block) at once whatever rho is
-_SAVE_BLOCK = 4096
+#: lines of a text file written or read at a time, so its text is held O(block) at once
+TEXT_BLOCK = 4096
+
+
+def _read_blocks(lines, parse, first_line_no: int) -> list:
+    """``parse(block, offset)`` of each block of up to :data:`TEXT_BLOCK` of ``lines``.
+
+    A block that ``parse`` rejects with ValueError is parsed again one line at
+    a time, and the first line it rejects raises :class:`ParseError` naming it.
+    """
+    results, offset = [], 0
+    while block := list(itertools.islice(lines, TEXT_BLOCK)):
+        try:
+            results.append(parse(block, offset))
+        except ValueError:
+            for k, line in enumerate(block):
+                try:
+                    parse([line], offset + k)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no=first_line_no + offset + k) from None
+            raise
+        offset += len(block)
+    return results
 
 
 def _pair_lines(mat: np.ndarray) -> list[str]:
@@ -280,8 +300,8 @@ def save_trace(trace: Trace, path) -> None:
         )
         if cfg.m > 0 and cfg.pool_prior is not None:
             fh.write("# pool_prior " + " ".join(repr(float(p)) for p in cfg.pool_prior) + "\n")
-        for start in range(0, trace.rho, _SAVE_BLOCK):
-            block = slice(start, start + _SAVE_BLOCK)
+        for start in range(0, trace.rho, TEXT_BLOCK):
+            block = slice(start, start + TEXT_BLOCK)
             pairs = zip(_pair_lines(trace.U[block]), _pair_lines(trace.Y[block]))
             fh.writelines(f"{r} in {u} out {y}\n" for r, (u, y) in enumerate(pairs, start))
 
@@ -290,10 +310,7 @@ def _read_header(head: list) -> tuple:
     """``(rho, n_senders, n_receivers, config, seed, header line count)`` of a trace file."""
     if not head or not head[0].startswith("# mixtrace "):
         raise ParseError("missing mixtrace header", line_no=1)
-    header = {}
-    for token in head[0][len("# mixtrace ") :].split():
-        key, _, value = token.partition("=")
-        header[key] = value
+    header = dict(token.partition("=")[::2] for token in head[0][len("# mixtrace ") :].split())
     try:
         sizes = [int(header[key]) for key in ("rho", "n_senders", "n_receivers")]
         config = MixConfig(
@@ -370,12 +387,11 @@ def load_trace(path) -> Trace:
 
     Only the writer's layout is read: rounds ``0 .. rho-1`` in order, one
     line each, with single-spaced ``user:count`` tokens of ASCII digits, no
-    leading zeros, non-zero counts and users ascending.  The round lines are
-    parsed a block of :data:`_SAVE_BLOCK` at a time, and a block that fails
-    is parsed again line by line, so a padded, reordered or otherwise bad
-    line, a missing round and counts that break :meth:`Trace.validate` raise
-    :class:`ParseError` with the line.  A header whose ``rho`` the rest of
-    the file cannot hold raises at line 1, before anything is allocated.
+    leading zeros, non-zero counts and users ascending.  The round lines go
+    through :func:`_read_blocks`, so a bad line and counts that break
+    :meth:`Trace.validate` raise :class:`ParseError` with the line, and a
+    missing round without one.  A header whose ``rho`` the rest of the file
+    cannot hold, or whose sizes cannot be allocated, raises at line 1.
     """
     with open(path) as fh:
         head = list(itertools.islice(fh, 2))
@@ -383,26 +399,20 @@ def load_trace(path) -> Trace:
         rest = os.fstat(fh.fileno()).st_size - len("".join(head[:body_start]).encode())
         if rho * 10 > rest:  # the shortest round line, "0 in 0:1 out \n", takes 14 bytes
             raise ParseError(f"rho={rho} rounds cannot fit in the {rest} bytes", line_no=1)
-        U = np.zeros((rho, n_senders), dtype=np.int64)
-        Y = np.zeros((rho, n_receivers), dtype=np.int64)
+        try:
+            U = np.zeros((rho, n_senders), dtype=np.int64)
+            Y = np.zeros((rho, n_receivers), dtype=np.int64)
+        except MemoryError as exc:
+            raise ParseError(f"header sizes too large: {exc}", line_no=1) from exc
         # no count in a valid trace exceeds the messages that can have entered the mix
         cap = config.m + config.t * rho
-        body = itertools.chain(head[body_start:], fh)
-        r0 = 0
-        while lines := list(itertools.islice(body, _SAVE_BLOCK)):
-            try:
-                _parse_rounds(lines, r0, U, Y, cap)
-            except ValueError:
-                for r, line in enumerate(lines, r0):
-                    try:
-                        _parse_rounds([line], r, U, Y, cap)
-                    except ValueError as exc:
-                        line_no = body_start + r + 1
-                        raise ParseError(f"bad round record: {exc}", line_no=line_no) from None
-                raise
-            r0 += len(lines)
-    if r0 < rho:
-        raise ParseError(f"no line for round {r0}")
+
+        def parse(lines, r0):  # fills U and Y in place; a block's result is its line count
+            _parse_rounds(lines, r0, U, Y, cap)
+            return len(lines)
+        n_lines = sum(_read_blocks(itertools.chain(head[body_start:], fh), parse, body_start + 1))
+    if n_lines < rho:
+        raise ParseError(f"no line for round {n_lines}")
     try:
         return Trace(U=U, Y=Y, config=config, seed=seed)
     except InvalidParameterError as exc:

@@ -117,6 +117,19 @@ class TestBadInput:
         self.check_error(capsys, "attack", "--trace", path, "--out", tmp_path / "est.txt",
                          match="line 1: rho=1000000000000 rounds cannot fit")
 
+    def test_trace_header_sizes_too_large(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "trace.txt"
+        path.write_text("# mixtrace n_senders=1000000000000 n_receivers=2 t=2 kind=threshold "
+                        "alpha=1.0 m=0 rho=1 seed=0\n0 in 0:2 out 1:2\n")
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        # stands in for the allocator, so that the test itself allocates nothing
+        monkeypatch.setattr(np, "zeros", no_memory)
+        self.check_error(capsys, "attack", "--trace", path, "--out", tmp_path / "est.txt",
+                         match="line 1: header sizes too large")
+
     def test_population_header_beyond_its_frequencies(self, tmp_path, capsys):
         path = tmp_path / "pop.json"
         path.write_text(json.dumps({"n_senders": 10**9, "n_receivers": 2,

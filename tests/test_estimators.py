@@ -523,6 +523,44 @@ class TestEstimateFile:
             load_estimate(path)
         assert info.value.line_no == 1
 
+    @pytest.mark.parametrize("body, line", [
+        ("0.5 0.5\n0.5 0.5\n0.5 0.5\n", 4),  # a row beyond n_senders names its line
+        ("0.5 0.5\n", None),  # too few rows: no line is to blame
+    ])
+    def test_row_count_differs_from_header(self, tmp_path, body, line):
+        path = tmp_path / "estimate.txt"
+        path.write_text("# estimate method=lsda iterations=1 residual=0 converged=True "
+                        "n_senders=2 n_receivers=2\n" + body)
+        with pytest.raises(ParseError) as info:
+            load_estimate(path)
+        assert info.value.line_no == line
+
+    @pytest.mark.parametrize("values", [
+        "iterations=1 residual=0 converged=maybe",  # read as False
+        "iterations=1 residual=0 converged=true",
+        "iterations=-5 residual=0 converged=True",
+        "iterations=1 residual=-3 converged=True",
+        "iterations=1 residual=-inf converged=True",
+    ])
+    def test_header_values_out_of_range_rejected(self, tmp_path, values):
+        path = tmp_path / "estimate.txt"
+        path.write_text(f"# estimate method=lsda {values} n_senders=1 n_receivers=2\n0.5 0.5\n")
+        with pytest.raises(ParseError, match="line 1: bad header") as info:
+            load_estimate(path)
+        assert info.value.line_no == 1
+
+    @pytest.mark.parametrize("values, expected", [
+        ("iterations=0 residual=0 converged=False", (0, 0.0, False)),
+        ("iterations=3 residual=nan converged=True", (3, None, True)),
+    ])
+    def test_header_values_at_their_bounds_accepted(self, tmp_path, values, expected):
+        path = tmp_path / "estimate.txt"
+        path.write_text(f"# estimate method=lsda {values} n_senders=1 n_receivers=2\n0.5 0.5\n")
+        est = load_estimate(path)
+        iterations, residual, converged = expected
+        assert est.iterations == iterations and est.converged is converged
+        assert np.isnan(est.residual) if residual is None else est.residual == residual
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_rejected(self, tmp_path, entry):
         path = tmp_path / "estimate.txt"

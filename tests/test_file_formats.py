@@ -188,7 +188,7 @@ class TestTraceFile:
             if edit not in ("drop", "duplicate", "swap", "extend"):
                 lines[k] = " ".join(tokens)
         path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(mixsim, "_SAVE_BLOCK", block):
+        with mock.patch.object(mixsim, "TEXT_BLOCK", block):
             assert trace_verdict(load_trace, path) == trace_verdict(reference_load_trace, path)
 
 
@@ -241,7 +241,7 @@ def test_column_parse_reads_canonical_lines(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text(HEADER + "\n".join(CANONICAL) + "\n")
     for block in (1, 2):
-        with mock.patch.object(mixsim, "_SAVE_BLOCK", block):
+        with mock.patch.object(mixsim, "TEXT_BLOCK", block):
             trace = load_trace(path)
         assert trace.U.tolist() == [[2, 0, 0], [1, 1, 0]]
         assert trace.Y.tolist() == [[0, 2], [1, 1]]
@@ -268,6 +268,81 @@ class TestEstimateFile:
         save_estimate(est, path)
         assert path.read_text() == reference_estimate_text(est)
         np.testing.assert_array_equal(load_estimate(path).P_hat, est.P_hat)
+
+    @PROPERTY
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 4), block=st.integers(1, 9),
+           data=st.data())
+    def test_block_parse_agrees_with_line_scan(self, tmp_path, rows, cols, block, data):
+        entries = st.floats(allow_nan=False, allow_infinity=False)
+        p_hat = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+        path = tmp_path / "estimate.txt"
+        save_estimate(ProfileEstimate(p_hat.reshape(rows, cols), "clsda", 7, 0.5, True), path)
+        lines = path.read_text().split("\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 2))):
+            edit = data.draw(st.sampled_from(("drop", "duplicate", "extend", "bad", "missing",
+                                              "non-finite", "blank")))
+            if edit == "extend":  # a well-formed row after the last
+                lines.append(" ".join(["0.25"] * cols))
+                continue
+            if len(lines) == 1:  # every row was dropped
+                continue
+            k = data.draw(st.integers(1, len(lines) - 1))
+            if edit == "drop":
+                del lines[k]
+            elif edit == "duplicate":
+                lines.insert(k, lines[k])
+            elif edit == "blank":
+                lines.insert(k, data.draw(st.sampled_from(("", " ", "\t"))))
+            else:
+                tokens = lines[k].split(" ")
+                at = data.draw(st.integers(0, len(tokens) - 1))
+                if edit == "missing":
+                    del tokens[at]
+                else:
+                    tokens[at] = data.draw(st.sampled_from(
+                        ("x", "1.5.2", "1e", "0x1", "--1", "1,5") if edit == "bad"
+                        else ("nan", "inf", "-inf", "NaN", "Infinity", "1e999")))
+                lines[k] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(mixsim, "TEXT_BLOCK", block):
+            loaded = estimate_verdict(lambda p: load_estimate(p).P_hat, path)
+        assert loaded == estimate_verdict(reference_load_estimate, path)
+
+
+def estimate_verdict(read, path):
+    """The matrix a reader returns, or the line its ParseError names."""
+    try:
+        return read(path).tolist()
+    except ParseError as exc:
+        return ("ParseError", exc.line_no)
+
+
+def reference_load_estimate(path):
+    """The matrix rows of an estimate file read one line at a time.
+
+    The first row beyond ``n_senders``, with other than ``n_receivers``
+    entries, or with an entry that ``float`` refuses or that is not finite
+    raises :class:`ParseError` naming its line; then too few rows raise it
+    without one.
+    """
+    with open(path) as fh:
+        header = dict(token.split("=") for token in fh.readline().split()[2:])
+        n_rows, n_cols = int(header["n_senders"]), int(header["n_receivers"])
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            entries = line.split()
+            if len(rows) == n_rows or len(entries) != n_cols:
+                raise ParseError("bad row", line_no=line_no)
+            try:
+                row = [float(v) for v in entries]
+            except ValueError:
+                raise ParseError("bad entry", line_no=line_no) from None
+            if not np.isfinite(row).all():
+                raise ParseError("non-finite entry", line_no=line_no)
+            rows.append(row)
+    if len(rows) < n_rows:
+        raise ParseError("too few rows")
+    return np.array(rows)
 
 
 ids = st.text(alphabet="abcxyz", min_size=1, max_size=2)
@@ -367,5 +442,5 @@ class TestEventLog:
         expected = events_verdict(reference_load_events, path)
         if expected[0] == []:
             return  # no events: load_events raises EmptyLogError instead
-        with mock.patch.object(ingest, "EVENT_BLOCK", block):
+        with mock.patch.object(mixsim, "TEXT_BLOCK", block):
             assert events_verdict(load_events, path) == expected

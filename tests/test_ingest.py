@@ -8,7 +8,7 @@ from mixprofile import (
     build_rounds,
     load_events,
 )
-from mixprofile import ingest
+from mixprofile import mixsim
 
 
 def write(tmp_path, text, name="events.csv"):
@@ -50,7 +50,7 @@ class TestLoadEvents:
         assert log.receiver_names == ("x", "y")
 
     def test_bad_line_in_a_later_block_is_named(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "EVENT_BLOCK", 2)
+        monkeypatch.setattr(mixsim, "TEXT_BLOCK", 2)
         text = "0,a,x\n# note\n1,b,y\n2,c,z\n3,d\n4,e,w\n"
         with pytest.raises(ParseError, match="line 5:"):
             load_events(write(tmp_path, text))
@@ -60,7 +60,7 @@ class TestLoadEvents:
             load_events(write(tmp_path, "0,a,x\n99999999999999999999,b,y\n"))
 
     def test_ids_keep_first_appearance_order_across_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "EVENT_BLOCK", 2)
+        monkeypatch.setattr(mixsim, "TEXT_BLOCK", 2)
         log = load_events(write(tmp_path, "5,b,y\n4,a,x\n3,b,z\n2,c,x\n1,a,y\n"))
         assert log.sender_names == ("b", "a", "c")
         assert log.receiver_names == ("y", "x", "z")

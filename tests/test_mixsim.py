@@ -342,6 +342,20 @@ class TestTraceFile:
             load_trace(path)
         assert info.value.line_no == 1
 
+    def test_sizes_too_large_to_allocate_rejected(self, tmp_path, monkeypatch):
+        # one round of 10**12 senders would take 8 TB of counts, and no file size bounds n_senders
+        path = tmp_path / "trace.txt"
+        path.write_text("# mixtrace n_senders=1000000000000 n_receivers=2 t=2 kind=threshold "
+                        "alpha=1.0 m=0 rho=1 seed=0\n0 in 0:2 out 1:2\n")
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        # stands in for the allocator, so that the test itself allocates nothing
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(ParseError, match="line 1: header sizes too large: cannot allocate"):
+            load_trace(path)
+
     def test_line_beyond_rho_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 in 0:2 out 1:2", "2 in 0:2 out 1:2"])
         with pytest.raises(ParseError, match="line 4:.*rho=2"):
