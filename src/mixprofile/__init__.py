@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     EmptyLogError,
@@ -42,7 +42,7 @@ from .experiment import (
     save_spec,
 )
 from .ingest import EventLog, build_rounds, load_events
-from .metrics import MseReport, aggregate_repetitions, mse_profile, mse_transition, profile_mse_vector
+from .metrics import MseReport, aggregate_repetitions, mse_transition, profile_mse_vector
 from .mixsim import (
     BINOMIAL_POOL,
     THRESHOLD,

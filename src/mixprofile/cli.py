@@ -9,8 +9,6 @@ from dataclasses import replace
 
 from .errors import MixProfileError
 from .estimators import (
-    INIT_PROJECTED,
-    INIT_UNIFORM,
     LSDA,
     METHODS,
     ProfileEstimate,
@@ -29,15 +27,15 @@ from .population import FREQ_DISTS, PROFILE_DISTS, gen_population, load_populati
 from .theory import REGIMES, EXACT, predict_mse_pool, predict_mse_threshold
 
 
-def _common(parser: argparse.ArgumentParser, seed_default=0):
-    parser.add_argument("--seed", type=int, default=seed_default, help="master random seed")
+def _seed(parser: argparse.ArgumentParser, default=0):
+    parser.add_argument("--seed", type=int, default=default, help="master random seed")
+
+
+def _out(parser: argparse.ArgumentParser, formats: bool = False):
     parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="json",
-        help="output encoding where the command supports both",
-    )
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default="json",
+                            help="output encoding")
 
 
 def _cmd_gen(args) -> int:
@@ -62,10 +60,7 @@ def _cmd_attack(args) -> int:
     if args.method == "lsda":
         est = lsda(trace, ridge=args.ridge)
     elif args.method == "clsda":
-        opts = SolverOptions(
-            step_scale=args.step_scale, max_iter=args.max_iter, tol=args.tol, init=args.init
-        )
-        est = clsda(trace, opts)
+        est = clsda(trace, SolverOptions(max_iter=args.max_iter, tol=args.tol))
     elif args.method == "rls":
         est = rls(trace, ridge=args.ridge)
     elif args.method == "zclip":
@@ -155,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-friends", type=int, required=True)
     p.add_argument("--profile-dist", choices=PROFILE_DISTS, default="zipf")
     p.add_argument("--freq-dist", choices=FREQ_DISTS, default="uniform")
-    _common(p)
+    _seed(p)
+    _out(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("simulate", help="simulate a trace from a population file")
@@ -165,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--rho", type=int, required=True)
-    _common(p)
+    _seed(p)
+    _out(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
@@ -174,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", action="store_true", help="regularize singular systems")
     solver = SolverOptions()
     p.add_argument(
-        "--step-scale", type=float, default=solver.step_scale,
-        help="clsda step as a multiple of 1/lambda_max of the Gram matrix, in (0, 2); "
-        "up to 1 keeps the accelerated rate",
-    )
-    p.add_argument(
         "--max-iter", type=int, default=solver.max_iter,
         help="clsda iteration cap; the estimate is flagged converged=False if it is reached",
     )
@@ -186,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=solver.tol,
         help="clsda stops when the relative change of the accepted iterate is at most this",
     )
-    p.add_argument("--init", choices=(INIT_UNIFORM, INIT_PROJECTED), default=solver.init)
-    _common(p)
+    _out(p)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("predict", help="closed-form error prediction for a population")
@@ -197,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--regime", choices=REGIMES, default=EXACT)
-    _common(p)
+    _out(p, formats=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ingest", help="batch a real event log into a threshold trace")
@@ -205,12 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=10)
     p.add_argument("--min-sender-messages", type=int, default=20)
     p.add_argument("--population-out", required=True, help="empirical population file")
-    _common(p)
+    _out(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("experiment", help="run a parameter sweep from a spec file")
     p.add_argument("--spec", required=True)
-    _common(p, seed_default=None)  # None keeps the master seed from the spec file
+    _seed(p, default=None)  # None keeps the master seed from the spec file
+    _out(p, formats=True)
     p.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -220,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MixProfileError as exc:
+    except (MixProfileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,9 +34,6 @@ SDA = "sda"
 ZCLIP = "zclip"
 METHODS = (LSDA, CLSDA, RLS, SDA, ZCLIP)
 
-INIT_UNIFORM = "uniform"
-INIT_PROJECTED = "unconstrained_projected"
-
 #: relative diagonal jitter applied when the explicit ridge fallback is enabled
 RIDGE_SCALE = 1e-10
 #: rounds per block that :func:`rls` feeds into the normal equations
@@ -68,33 +65,20 @@ class ProfileEstimate:
 class SolverOptions:
     """Options for :func:`clsda`'s projected-gradient and conjugate-gradient solver.
 
-    The projected step size is ``step_scale / lambda_max`` where ``lambda_max``
-    is the largest eigenvalue of the Gram matrix.  ``step_scale <= 1`` is the
-    range in which the accelerated (momentum) steps converge at their fast rate;
-    up to 2 the plain steps still decrease the objective, and momentum steps
-    that overshoot are replaced by plain ones.  The solver converges once a
-    projected step's relative Frobenius change, ``|P_{k+1} - P_k| / |P_k|``, is
-    at most ``tol``; a conjugate-gradient run on a face ends at the same change.
-    ``max_iter`` caps the steps of both kinds, one Gram product each (a momentum
-    step replaced by a plain one counts once).  ``init`` picks the start: the
-    uniform profile, or the unconstrained least-squares solution projected
-    onto the simplex.
+    The solver converges once a projected step's relative Frobenius change,
+    ``|P_{k+1} - P_k| / |P_k|``, is at most ``tol``; a conjugate-gradient run on
+    a face ends at the same change.  ``max_iter`` caps the steps of both kinds,
+    one Gram product each (a momentum step replaced by a plain one counts once).
     """
 
-    step_scale: float = 1.0
     max_iter: int = 5000
     tol: float = 1e-9
-    init: str = INIT_UNIFORM
 
     def __post_init__(self):
-        if not 0.0 < self.step_scale < 2.0:
-            raise InvalidParameterError("step_scale must lie in (0, 2)")
         if self.max_iter < 0:
             raise InvalidParameterError("max_iter must be >= 0")
         if self.tol <= 0.0:
             raise InvalidParameterError("tol must be positive")
-        if self.init not in (INIT_UNIFORM, INIT_PROJECTED):
-            raise InvalidParameterError(f"unknown init {self.init!r}")
 
 
 def _gram_factor(gram: np.ndarray, ridge: bool):
@@ -221,11 +205,13 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
 
     Minimises ``||Y - A @ P||_F**2`` with every sender row of ``P`` on the
     probability simplex, working only on the normal equations
-    ``G = A.T @ A``, ``C = A.T @ Y``.  A projected step extrapolates
-    ``Z = P_k + beta_k * (P_k - P_{k-1})`` with the FISTA momentum
+    ``G = A.T @ A``, ``C = A.T @ Y``.  The run starts from the unconstrained
+    least-squares solution projected onto the simplices, or from the uniform
+    profile when the Gram matrix is rank deficient.  A projected step
+    extrapolates ``Z = P_k + beta_k * (P_k - P_{k-1})`` with the FISTA momentum
     ``beta_k = (t_k - 1) / t_{k+1}``, ``t_{k+1} = (1 + sqrt(1 + 4 t_k**2)) / 2``,
     ``t_1 = 1`` (Beck & Teboulle 2009), and steps ``P_{k+1} = proj(Z - mu *
-    (G @ Z - C))`` with ``mu = step_scale / lambda_max(G)``; ``G @ Z`` comes
+    (G @ Z - C))`` with ``mu = 1 / lambda_max(G)``; ``G @ Z`` comes
     from the stored ``G @ P_k`` and ``G @ P_{k-1}``.  The momentum restarts
     (``t = 1``) when ``<Z - P_{k+1}, P_{k+1} - P_k> > 0`` (gradient restart;
     O'Donoghue & Candès 2015), and a momentum step that raises the objective
@@ -253,17 +239,17 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     lam = eq.lambda_max()
     if lam <= 0.0:
         raise SingularSystemError("design matrix is identically zero")
-    mu = opts.step_scale / lam
+    mu = 1.0 / lam
 
     def projected_step(z, gz):
         p = _project_rows(z - mu * (gz - cross))
         gp = gram @ p
         return p, gp, eq.residual(p, gp)
 
-    if opts.init == INIT_UNIFORM:
-        p = np.full(cross.shape, 1.0 / cross.shape[1])
-    else:
+    try:
         p = _project_rows(eq.solve())
+    except SingularSystemError:
+        p = np.full(cross.shape, 1.0 / cross.shape[1])
 
     gp = gram @ p
     objective = eq.residual(p, gp)

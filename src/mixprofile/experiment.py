@@ -124,6 +124,8 @@ class ExperimentSpec:
                 raise _FieldError("sweep_values", "sweep_values must be non-empty")
             for value in self.sweep_values:
                 _check_field(canon, value, key="sweep_values")
+        elif self.sweep_values:
+            raise _FieldError("sweep_values", "sweep_values needs a sweep_param")
 
 
 @dataclass
@@ -287,7 +289,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             except MixProfileError as exc:
                 row.status = _error_label(exc)
             else:
-                agg = aggregate_repetitions(vectors, pop.n_receivers, keep_per_repetition=True)
+                agg = aggregate_repetitions(vectors, pop.n_receivers)
                 row.mse_p_mean = agg.mse_transition
                 row.mse_p_std = float(agg.per_repetition.std(ddof=1)) if spec.repetitions > 1 else 0.0
                 row.wall_ms = float(np.mean(elapsed) * 1e3)

@@ -17,13 +17,13 @@ class MseReport:
 
     ``mse_profile[i]`` is the mean (over repetitions) squared error of
     sender ``i``'s estimated profile; ``mse_transition`` averages over all
-    ``n_senders * n_receivers`` transition entries.
+    ``n_senders * n_receivers`` transition entries, and ``per_repetition``
+    holds each repetition's per-transition MSE.
     """
 
     mse_profile: np.ndarray
     mse_transition: float
-    n_repetitions: int
-    per_repetition: np.ndarray | None = None
+    per_repetition: np.ndarray
 
 
 def _check_dims(truth: UserPopulation, est: ProfileEstimate):
@@ -32,15 +32,6 @@ def _check_dims(truth: UserPopulation, est: ProfileEstimate):
             f"estimate shape {est.P_hat.shape} does not match "
             f"population shape {truth.profiles.shape}"
         )
-
-
-def mse_profile(truth: UserPopulation, est: ProfileEstimate, i: int) -> float:
-    """Squared error of sender ``i``'s estimated profile: sum_j (p - p_hat)^2."""
-    _check_dims(truth, est)
-    if not 0 <= i < truth.n_senders:
-        raise InvalidParameterError(f"sender index {i} out of range")
-    diff = truth.profiles[i] - est.P_hat[i]
-    return float(diff @ diff)
 
 
 def mse_transition(truth: UserPopulation, est: ProfileEstimate) -> float:
@@ -55,16 +46,11 @@ def profile_mse_vector(truth: UserPopulation, est: ProfileEstimate) -> np.ndarra
     return np.sum((truth.profiles - est.P_hat) ** 2, axis=1)
 
 
-def aggregate_repetitions(
-    per_rep_profile_mse,
-    n_receivers: int,
-    keep_per_repetition: bool = False,
-) -> MseReport:
+def aggregate_repetitions(per_rep_profile_mse, n_receivers: int) -> MseReport:
     """Average per-sender MSE vectors across repetitions.
 
     The aggregation is an arithmetic mean, hence independent of repetition
-    order.  ``per_repetition`` (when kept) holds each repetition's
-    per-transition MSE.
+    order.
     """
     rows = np.asarray(list(per_rep_profile_mse), dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -74,6 +60,5 @@ def aggregate_repetitions(
     return MseReport(
         mse_profile=rows.mean(axis=0),
         mse_transition=float(per_rep.mean()),
-        n_repetitions=rows.shape[0],
-        per_repetition=per_rep if keep_per_repetition else None,
+        per_repetition=per_rep,
     )

@@ -182,6 +182,8 @@ def simulate_trace(
     """
     if rho < 1:
         raise InvalidParameterError("rho must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
     pool = config.kind == BINOMIAL_POOL
     m = config.m
     if pool and m > 0:

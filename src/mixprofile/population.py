@@ -108,6 +108,8 @@ def gen_population(
         raise InvalidParameterError(f"unknown profile_dist {profile_dist!r}")
     if freq_dist not in FREQ_DISTS:
         raise InvalidParameterError(f"unknown freq_dist {freq_dist!r}")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     profiles = np.zeros((n_users, n_users))

@@ -6,7 +6,7 @@ import pytest
 
 from mixprofile import load_estimate, load_population, load_trace
 from mixprofile.cli import build_parser, main
-from mixprofile.estimators import INIT_PROJECTED, INIT_UNIFORM, METHODS, SolverOptions
+from mixprofile.estimators import METHODS, SolverOptions
 
 
 def run(*argv):
@@ -172,6 +172,55 @@ class TestBadInput:
         self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
                          match=f"line {line}: {field} must be")
 
+    def test_spec_with_sweep_values_but_no_sweep_param(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{\n "n_users": 8,\n "sweep_values": [100, 200]\n}\n')
+        self.check_error(capsys, "experiment", "--spec", spec_path, "--out", tmp_path / "r.json",
+                         match="line 3: sweep_values needs a sweep_param")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--population", "{missing}", "--rho", 10),
+        ("attack", "--trace", "{missing}"),
+        ("predict", "--population", "{missing}", "--rho", 10),
+        ("ingest", "--events", "{missing}", "--population-out", "{tmp}/pop.json"),
+        ("experiment", "--spec", "{missing}"),
+    ], ids=lambda argv: argv[0])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        fill = {"missing": tmp_path / "missing.txt", "tmp": tmp_path}
+        argv = [str(a).format(**fill) for a in argv]
+        self.check_error(capsys, *argv, "--out", tmp_path / "out.txt",
+                         match=f"No such file or directory: '{tmp_path / 'missing.txt'}'")
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_gen_with_a_negative_seed(self, tmp_path, capsys):
+        self.check_error(capsys, "gen", "--n-users", 4, "--n-friends", 2, "--seed", -1,
+                         "--out", tmp_path / "pop.json", match="seed must be >= 0")
+
+    def test_simulate_with_a_negative_seed(self, tmp_path, capsys):
+        pop_path = tmp_path / "pop.json"
+        assert run("gen", "--n-users", 4, "--n-friends", 2, "--out", pop_path) == 0
+        self.check_error(capsys, "simulate", "--population", pop_path, "--rho", 10,
+                         "--seed", -2, "--out", tmp_path / "trace.txt", match="seed must be >= 0")
+
+    @pytest.mark.parametrize("argv", [
+        ("attack", "--trace", "t.txt", "--seed", 1),
+        ("attack", "--trace", "t.txt", "--init", "uniform"),
+        ("attack", "--trace", "t.txt", "--step-scale", 1.0),
+        ("attack", "--trace", "t.txt", "--format", "json"),
+        ("gen", "--n-users", 4, "--n-friends", 2, "--format", "csv"),
+        ("simulate", "--population", "p.json", "--rho", 10, "--format", "csv"),
+        ("predict", "--population", "p.json", "--rho", 10, "--seed", 1),
+        ("ingest", "--events", "e.csv", "--population-out", "p.json", "--seed", 1),
+        ("ingest", "--events", "e.csv", "--population-out", "p.json", "--format", "csv"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--out", "out.txt")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("values", [[100, 200.5], [100, "200"], [100, True]])
     def test_spec_with_a_bad_sweep_value(self, tmp_path, capsys, values):
         spec_path = tmp_path / "spec.json"
@@ -185,7 +234,6 @@ def test_attack_options_match_the_library():
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {a.dest: a for a in subparsers.choices["attack"]._actions}
     assert tuple(options["method"].choices) == METHODS
-    assert tuple(options["init"].choices) == (INIT_UNIFORM, INIT_PROJECTED)
     solver = SolverOptions()
-    for name in ("step_scale", "max_iter", "tol", "init"):
+    for name in ("max_iter", "tol"):
         assert options[name].default == getattr(solver, name)

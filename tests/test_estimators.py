@@ -192,12 +192,23 @@ class TestClsda:
         np.testing.assert_allclose(est.P_hat, [[0, 1], [1, 0]], atol=1e-6)
         assert est.converged
 
-    def test_zero_iterations_returns_uniform_init(self):
+    def test_zero_iterations_returns_projected_lsda(self):
         _, trace = random_trace(n_users=5, t=3, rho=50, seed=2)
         est = clsda(trace, SolverOptions(max_iter=0))
-        np.testing.assert_array_equal(est.P_hat, np.full((5, 5), 0.2))
+        np.testing.assert_array_equal(est.P_hat, _project_rows(lsda(trace).P_hat))
         assert est.iterations == 0
         assert not est.converged
+
+    def test_rank_deficient_gram_starts_uniform(self):
+        # the duplicated-column trace on which lsda raises
+        trace = make_trace(U=[[1, 1], [1, 1]], Y=[[1, 1], [2, 0]])
+        start = clsda(trace, SolverOptions(max_iter=0))
+        np.testing.assert_array_equal(start.P_hat, np.full((2, 2), 0.5))
+        est = clsda(trace)
+        assert est.converged
+        assert np.all(est.P_hat >= 0.0)
+        np.testing.assert_allclose(est.P_hat.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert_non_increasing(est.objective_history)
 
     def test_rows_live_on_the_simplex(self):
         _, trace = random_trace(n_users=10, t=5, rho=200, seed=4)
@@ -261,12 +272,18 @@ class TestClsda:
         assert est.P_hat is projections[-1]
 
     def test_conjugate_gradient_step_uphill_raises(self, monkeypatch):
-        # with the tangent flipped, the first conjugate-gradient step (after three
-        # settled projected steps) climbs
+        # with the tangent flipped, the first conjugate-gradient step climbs; it is
+        # the iteration of the first cut run that reaches a face
+        trace = small_pool_trace()
+        faces = face_runs(monkeypatch)
+        for first in range(1, 100):
+            clsda(trace, SolverOptions(max_iter=first))
+            if faces:
+                break
         tangent = estimators._face_tangent
         monkeypatch.setattr(estimators, "_face_tangent", lambda x, face: -tangent(x, face))
-        with pytest.raises(SolverDivergedError, match="objective increased at iteration 4"):
-            clsda(small_pool_trace())
+        with pytest.raises(SolverDivergedError, match=f"objective increased at iteration {first}:"):
+            clsda(trace)
 
     def test_not_worse_than_unconstrained(self):
         for seed in range(3):
@@ -274,12 +291,6 @@ class TestClsda:
             err_u = np.sum((lsda(trace).P_hat - pop.profiles) ** 2)
             err_c = np.sum((clsda(trace).P_hat - pop.profiles) ** 2)
             assert err_c <= err_u
-
-    def test_projected_init_also_converges(self):
-        _, trace = random_trace(n_users=8, t=4, rho=150, seed=1)
-        est = clsda(trace, SolverOptions(init="unconstrained_projected"))
-        assert est.converged
-        np.testing.assert_allclose(est.P_hat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_non_convergence_flag(self):
         _, trace = random_trace(n_users=10, t=5, rho=200, seed=4)
@@ -304,11 +315,9 @@ class TestClsda:
 
     def test_options_validated(self):
         with pytest.raises(InvalidParameterError):
-            SolverOptions(step_scale=2.0)
+            SolverOptions(max_iter=-1)
         with pytest.raises(InvalidParameterError):
             SolverOptions(tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            SolverOptions(init="warm")
 
 
 class TestProjectSimplex:

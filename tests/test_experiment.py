@@ -46,6 +46,16 @@ class TestSpec:
         with pytest.raises(InvalidParameterError):
             tiny_spec(sweep_param="threshold", sweep_values=(1,))
 
+    def test_rejects_sweep_values_without_sweep_param(self):
+        with pytest.raises(InvalidParameterError, match="sweep_values needs a sweep_param"):
+            tiny_spec(sweep_values=(100, 200))
+
+    def test_spec_file_sweep_values_without_sweep_param(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "n_users": 10,\n "sweep_values": [100, 200]\n}\n')
+        with pytest.raises(ParseError, match="line 3: sweep_values needs a sweep_param"):
+            load_spec(path)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidParameterError):
             tiny_spec(methods=("pmda",))

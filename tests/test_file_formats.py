@@ -176,12 +176,13 @@ class TestTraceFile:
                     ("", "x", "1.5", "0:", ":1", "1:1:1", "+1:1", "0:99", "9:1", "in", "out", "٣:1",
                      "0_1:1", "01:1", "0:01", "0:0")))
             elif edit == "negate" and ":" in tokens[at]:
-                i, c = tokens[at].split(":")
+                i, _, c = tokens[at].partition(":")
                 tokens[at] = f"{i}:-{c}"
             elif edit == "repeat":
                 tokens.insert(at, tokens[at])
-            elif edit == "bump" and ":" in tokens[at]:
-                i, c = tokens[at].split(":")
+            elif edit == "bump" and tokens[at].partition(":")[2].isdecimal():
+                # a token corrupted earlier ("0:", "1:1:1") has no count to bump
+                i, _, c = tokens[at].partition(":")
                 tokens[at] = f"{i}:{int(c) + 1}"
             elif edit == "space":
                 tokens[at] = data.draw(st.sampled_from((" ", "\t", "  "))) + tokens[at]

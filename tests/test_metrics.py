@@ -6,7 +6,6 @@ from mixprofile import (
     ProfileEstimate,
     UserPopulation,
     aggregate_repetitions,
-    mse_profile,
     mse_transition,
     profile_mse_vector,
 )
@@ -22,21 +21,26 @@ def estimate(p_hat):
     return ProfileEstimate(P_hat=np.asarray(p_hat, dtype=float), method="lsda")
 
 
-class TestMseProfile:
+class TestProfileMseVector:
     def test_perfect_estimate_is_zero(self):
         pop = population([[1, 0], [0, 1]])
-        assert mse_profile(pop, estimate(pop.profiles), 0) == 0.0
+        np.testing.assert_array_equal(profile_mse_vector(pop, estimate(pop.profiles)), [0.0, 0.0])
 
     def test_symmetric_errors(self):
         pop = population([[1, 0], [0, 1]])
-        assert mse_profile(pop, estimate([[0.8, 0.2], [0, 1]]), 0) == pytest.approx(0.08)
+        assert profile_mse_vector(pop, estimate([[0.8, 0.2], [0, 1]]))[0] == pytest.approx(0.08)
         # overshoot with a negative entry scores the same
-        assert mse_profile(pop, estimate([[1.2, -0.2], [0, 1]]), 0) == pytest.approx(0.08)
+        assert profile_mse_vector(pop, estimate([[1.2, -0.2], [0, 1]]))[0] == pytest.approx(0.08)
 
-    def test_index_out_of_range(self):
+    def test_sums_squared_errors_per_sender(self):
+        pop = population([[1, 0], [0, 1]])
+        vec = profile_mse_vector(pop, estimate([[0.8, 0.2], [0.4, 0.6]]))
+        np.testing.assert_allclose(vec, [0.08, 0.32], rtol=1e-14)
+
+    def test_dimension_mismatch(self):
         pop = population([[1, 0], [0, 1]])
         with pytest.raises(InvalidParameterError):
-            mse_profile(pop, estimate(pop.profiles), 2)
+            profile_mse_vector(pop, estimate(np.zeros((3, 2))))
 
 
 class TestMseTransition:
@@ -54,7 +58,7 @@ class TestMseTransition:
         profiles = rng.dirichlet(np.ones(6), size=6)
         pop = population(profiles)
         est = estimate(rng.normal(size=(6, 6)))
-        per_profile = [mse_profile(pop, est, i) for i in range(6)]
+        per_profile = profile_mse_vector(pop, est)
         assert mse_transition(pop, est) == pytest.approx(np.mean(per_profile) / 6, rel=1e-12)
 
     def test_dimension_mismatch(self):
@@ -74,14 +78,7 @@ class TestAggregation:
 
     def test_transition_identity(self):
         rows = np.array([[0.1, 0.2], [0.3, 0.4]])
-        report = aggregate_repetitions(rows, n_receivers=3, keep_per_repetition=True)
-        assert report.n_repetitions == 2
+        report = aggregate_repetitions(rows, n_receivers=3)
+        assert len(report.per_repetition) == 2
         np.testing.assert_allclose(report.per_repetition, [0.3 / 6, 0.7 / 6], rtol=1e-14)
         assert report.mse_transition == pytest.approx(report.mse_profile.sum() / 6, rel=1e-14)
-
-    def test_vector_helper_matches_scalar(self):
-        pop = population([[1, 0], [0, 1]])
-        est = estimate([[0.8, 0.2], [0.4, 0.6]])
-        vec = profile_mse_vector(pop, est)
-        assert vec[0] == pytest.approx(mse_profile(pop, est, 0))
-        assert vec[1] == pytest.approx(mse_profile(pop, est, 1))

@@ -64,6 +64,11 @@ class TestThresholdSimulation:
         assert np.all(trace.U[:, 0] == 3)
         assert np.all(trace.U[:, 1] == 0)
 
+    def test_negative_seed(self):
+        pop = two_user_population(f0=0.5)
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            simulate_trace(pop, MixConfig(kind="threshold", t=3), rho=5, seed=-2)
+
     def test_output_rows_sum_to_threshold(self):
         pop = gen_population(10, 3, "zipf", "uniform", seed=2)
         trace = simulate_trace(pop, MixConfig(kind="threshold", t=3), rho=100, seed=1)

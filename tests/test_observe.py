@@ -96,9 +96,7 @@ class TestExpectedDepartures:
         with pytest.raises(InvalidParameterError):
             expected_departures(trace)
 
-    def test_f_hat_override(self):
-        trace = pool_trace_from_counts(
-            [[0, 2], [0, 2]], alpha=0.5, m=10, pool_prior=np.array([0.5, 0.5])
-        )
-        u_hat = expected_departures(trace, f_hat=np.array([0.2, 0.8])).U_hat
-        np.testing.assert_allclose(u_hat[:, 0], [1.0, 0.5], rtol=1e-14)
+    def test_prior_of_the_wrong_length_is_an_error(self):
+        trace = pool_trace_from_counts([[1, 1]], alpha=0.5, m=3, pool_prior=np.full(3, 1 / 3))
+        with pytest.raises(InvalidParameterError, match="length"):
+            expected_departures(trace)

@@ -69,6 +69,10 @@ class TestGenPopulation:
         with pytest.raises(InvalidParameterError):
             gen_population(10, 3, "powerlaw", "uniform", seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            gen_population(10, 3, "zipf", "uniform", seed=-1)
+
 
 class TestUniformity:
     def test_deterministic_user_has_zero_uniformity(self):
