@@ -7,10 +7,13 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import MixProfileError
+from .errors import InvalidParameterError, MixProfileError
 from .estimators import (
+    CLSDA,
     LSDA,
     METHODS,
+    RLS,
+    ZCLIP,
     ProfileEstimate,
     SolverOptions,
     clsda,
@@ -38,6 +41,18 @@ def _out(parser: argparse.ArgumentParser, formats: bool = False):
                             help="output encoding")
 
 
+class _Given(argparse.Action):
+    """Store a flag's value (``const`` for a flag without one) and note the flag in ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = (*namespace.given, option_string)
+
+
+#: the ``attack`` flags that only some methods read, with the methods that read each
+_METHOD_FLAGS = {"--ridge": (LSDA, RLS, ZCLIP), "--max-iter": (CLSDA,), "--tol": (CLSDA,)}
+
+
 def _cmd_gen(args) -> int:
     pop = gen_population(args.n_users, args.n_friends, args.profile_dist, args.freq_dist, args.seed)
     save_population(pop, args.out)
@@ -56,6 +71,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    for flag in args.given:
+        if args.method not in _METHOD_FLAGS[flag]:
+            raise InvalidParameterError(f"--method {args.method} does not read {flag}")
     trace = load_trace(args.trace)
     if args.method == "lsda":
         est = lsda(trace, ridge=args.ridge)
@@ -168,16 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--method", choices=METHODS, default=LSDA)
-    p.add_argument("--ridge", action="store_true", help="regularize singular systems")
+    p.add_argument("--ridge", action=_Given, nargs=0, const=True, default=False,
+                   help="lsda, rls and zclip: regularize singular systems")
     solver = SolverOptions()
     p.add_argument(
-        "--max-iter", type=int, default=solver.max_iter,
+        "--max-iter", action=_Given, type=int, default=solver.max_iter,
         help="clsda iteration cap; the estimate is flagged converged=False if it is reached",
     )
     p.add_argument(
-        "--tol", type=float, default=solver.tol,
+        "--tol", action=_Given, type=float, default=solver.tol,
         help="clsda stops when the relative change of the accepted iterate is at most this",
     )
+    p.set_defaults(given=())
     _out(p)
     p.set_defaults(func=_cmd_attack)
 

@@ -39,6 +39,15 @@ class ParseError(MixProfileError, ValueError):
         self.line_no = line_no
 
 
+def _decode_utf8(data: bytes, first_line_no: int = 1) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 raises :class:`ParseError` at its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line_no = first_line_no + data.count(b"\n", 0, exc.start)
+        raise ParseError(str(exc), line_no=line_no) from None
+
+
 class EmptyLogError(MixProfileError, ValueError):
     """An event log contains no events."""
 

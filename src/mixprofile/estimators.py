@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     InvalidParameterError,
@@ -23,6 +22,7 @@ from .errors import (
     ParseError,
     SingularSystemError,
     SolverDivergedError,
+    _decode_utf8,
 )
 from .mixsim import Trace, _read_blocks
 from .observe import expected_departures
@@ -77,31 +77,32 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 0:
             raise InvalidParameterError("max_iter must be >= 0")
-        if self.tol <= 0.0:
-            raise InvalidParameterError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:  # a NaN fails both comparisons
+            raise InvalidParameterError("tol must be finite and positive")
 
 
-def _gram_factor(gram: np.ndarray, ridge: bool):
-    """Cholesky factor of a PSD Gram matrix.
+def _checked_gram(gram: np.ndarray, ridge: bool) -> np.ndarray:
+    """The Gram matrix to solve with, once its Cholesky factor shows full rank.
 
     LAPACK can report success on an exactly singular matrix with a rounding-
     level pivot, so the factor diagonal is checked explicitly.  A rank-
     deficient matrix raises :class:`SingularSystemError` unless ``ridge``
-    enables the diagonal jitter fallback.
+    enables the diagonal jitter fallback, which returns ``gram + jitter * I``.
     """
     n = gram.shape[0]
     try:
-        factor = sla.cho_factor(gram, lower=True, check_finite=False)
-        diag = np.abs(np.diagonal(factor[0]))
+        diag = np.abs(np.diagonal(np.linalg.cholesky(gram)))
         if diag.min() > diag.max() * np.sqrt(n * np.finfo(float).eps):
-            return factor
+            return gram
     except np.linalg.LinAlgError:
         pass
     if not ridge:
         rank = int(np.linalg.matrix_rank(gram))
         raise SingularSystemError(f"gram matrix is rank deficient: rank {rank} of {n}")
     jitter = RIDGE_SCALE * float(np.trace(gram)) / n
-    return sla.cho_factor(gram + jitter * np.eye(n), lower=True, check_finite=False)
+    jittered = gram + jitter * np.eye(n)
+    np.linalg.cholesky(jittered)  # raises LinAlgError if even the jitter leaves it indefinite
+    return jittered
 
 
 class NormalEquations:
@@ -140,8 +141,8 @@ class NormalEquations:
         self.rounds += a.shape[0]
 
     def solve(self, ridge: bool = False) -> np.ndarray:
-        """Solve ``gram @ P = cross`` with one Cholesky factorization."""
-        return sla.cho_solve(_gram_factor(self.gram, ridge), self.cross, check_finite=False)
+        """Solve ``gram @ P = cross`` for every receiver at once, after the rank check."""
+        return np.linalg.solve(_checked_gram(self.gram, ridge), self.cross)
 
     def residual(self, p: np.ndarray, gp: np.ndarray | None = None) -> float:
         """``||Y - A @ p||_F**2`` in Gram form, clamped at 0; ``gp`` may pass ``gram @ p``."""
@@ -150,18 +151,17 @@ class NormalEquations:
 
     def lambda_max(self) -> float:
         """Largest eigenvalue of the Gram matrix."""
-        top = len(self.gram) - 1
-        return float(sla.eigvalsh(self.gram, subset_by_index=[top, top])[0])
+        return float(np.linalg.eigvalsh(self.gram)[-1])
 
 
 def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     """Unconstrained least-squares profile estimate.
 
     Solves the normal equations ``(A.T @ A) r_j = A.T @ y_j`` for every
-    receiver ``j`` with a single Cholesky factorization of the Gram matrix
-    shared across receivers.  Raises :class:`SingularSystemError` when the
-    Gram matrix is rank deficient unless ``ridge`` enables the diagonal
-    jitter fallback.
+    receiver ``j`` in one solve shared across receivers, after a Cholesky
+    factorization has checked the Gram matrix's rank.  Raises
+    :class:`SingularSystemError` when the Gram matrix is rank deficient
+    unless ``ridge`` enables the diagonal jitter fallback.
     """
     eq = NormalEquations.from_trace(trace)
     p_hat = eq.solve(ridge)
@@ -405,8 +405,8 @@ def load_estimate(path) -> ProfileEstimate:
     :func:`~mixprofile.mixsim._read_blocks`, so a bad row names its line; too
     few rows raise without one.
     """
-    with open(path) as fh:
-        if not (head := fh.readline()).startswith("# estimate "):
+    with open(path, "rb") as fh:
+        if not (head := _decode_utf8(fh.readline())).startswith("# estimate "):
             raise ParseError("missing estimate header", line_no=1)
         header = dict(tok.partition("=")[::2] for tok in head[len("# estimate ") :].split())
         try:

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     SingularSystemError,
     SolverDivergedError,
+    _decode_utf8,
 )
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
 from .metrics import aggregate_repetitions, profile_mse_vector
@@ -150,8 +151,8 @@ class ExperimentReport:
 
 def load_spec(path) -> ExperimentSpec:
     """Read an experiment spec file (JSON mirroring the spec fields)."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = _decode_utf8(fh.read())
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -73,7 +73,7 @@ def load_events(path) -> EventLog:
     """
     senders: dict[str, int] = {}  # id -> code, in order of first appearance
     receivers: dict[str, int] = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         columns = _read_blocks(fh, lambda lines, _: _parse_block(lines, senders, receivers), 1)
     if not any(len(c[0]) for c in columns):
         raise EmptyLogError(f"no events in {path}")

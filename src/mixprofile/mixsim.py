@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, UnsupportedQueryError
+from .errors import InvalidParameterError, ParseError, UnsupportedQueryError, _decode_utf8
 from .population import SUM_TOL, UserPopulation
 
 THRESHOLD = "threshold"
@@ -252,17 +252,19 @@ TEXT_BLOCK = 4096
 def _read_blocks(lines, parse, first_line_no: int) -> list:
     """``parse(block, offset)`` of each block of up to :data:`TEXT_BLOCK` of ``lines``.
 
-    A block that ``parse`` rejects with ValueError is parsed again one line at
-    a time, and the first line it rejects raises :class:`ParseError` naming it.
+    ``lines`` are bytes, and ``parse`` gets them decoded as UTF-8.  A block
+    that does not decode, or that ``parse`` rejects with ValueError, is
+    decoded and parsed again one line at a time, and the first line that
+    fails raises :class:`ParseError` naming it.
     """
     results, offset = [], 0
     while block := list(itertools.islice(lines, TEXT_BLOCK)):
         try:
-            results.append(parse(block, offset))
-        except ValueError:
+            results.append(parse([line.decode() for line in block], offset))
+        except ValueError:  # UnicodeDecodeError included
             for k, line in enumerate(block):
                 try:
-                    parse([line], offset + k)
+                    parse([line.decode()], offset + k)
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no=first_line_no + offset + k) from None
             raise
@@ -395,10 +397,11 @@ def load_trace(path) -> Trace:
     missing round without one.  A header whose ``rho`` the rest of the file
     cannot hold, or whose sizes cannot be allocated, raises at line 1.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         head = list(itertools.islice(fh, 2))
-        rho, n_senders, n_receivers, config, seed, body_start = _read_header(head)
-        rest = os.fstat(fh.fileno()).st_size - len("".join(head[:body_start]).encode())
+        text = [_decode_utf8(line, line_no) for line_no, line in enumerate(head, 1)]
+        rho, n_senders, n_receivers, config, seed, body_start = _read_header(text)
+        rest = os.fstat(fh.fileno()).st_size - len(b"".join(head[:body_start]))
         if rho * 10 > rest:  # the shortest round line, "0 in 0:1 out \n", takes 14 bytes
             raise ParseError(f"rho={rho} rounds cannot fit in the {rest} bytes", line_no=1)
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, _decode_utf8
 
 PROFILE_DISTS = ("zipf", "uniform", "deterministic")
 FREQ_DISTS = ("uniform", "zipf")
@@ -169,11 +169,12 @@ def save_population(pop: UserPopulation, path) -> None:
 
 def load_population(path) -> UserPopulation:
     """Read a population file written by :func:`save_population`, checking sizes first."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not a valid population file: {exc.msg}", line_no=exc.lineno) from exc
+    with open(path, "rb") as fh:
+        text = _decode_utf8(fh.read())
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not a valid population file: {exc.msg}", line_no=exc.lineno) from exc
     try:
         n_s = int(doc["n_senders"])
         n_r = int(doc["n_receivers"])

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixprofile
 from mixprofile import load_estimate, load_population, load_trace
 from mixprofile.cli import build_parser, main
 from mixprofile.estimators import METHODS, SolverOptions
@@ -221,6 +226,52 @@ class TestBadInput:
         assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("lsda", "--tol", 5),
+        ("lsda", "--max-iter", 1),
+        ("rls", "--tol", 1e-9),
+        ("zclip", "--max-iter", 10),
+        ("sda", "--tol", 1e-3),
+        ("clsda", "--ridge"),
+        ("sda", "--ridge"),
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_flag_the_method_does_not_read(self, tmp_path, capsys, argv):
+        method, flag, *value = argv
+        self.check_error(capsys, "attack", "--trace", tmp_path / "missing.txt", "--method", method,
+                         flag, *value, "--out", tmp_path / "est.txt",
+                         match=f"--method {method} does not read {flag}")
+        assert not (tmp_path / "est.txt").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_clsda_tol_that_is_not_finite_and_positive(self, tmp_path, capsys, tol):
+        pop_path, trace_path = tmp_path / "pop.json", tmp_path / "trace.txt"
+        assert run("gen", "--n-users", 6, "--n-friends", 2, "--out", pop_path) == 0
+        assert run("simulate", "--population", pop_path, "--t", 3, "--rho", 60,
+                   "--out", trace_path) == 0
+        self.check_error(capsys, "attack", "--trace", trace_path, "--method", "clsda", "--tol", tol,
+                         "--out", tmp_path / "est.txt", match="tol must be finite and positive")
+        assert not (tmp_path / "est.txt").exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        pytest.param(("attack", "--trace", "{bad}"),
+                     b"# mixtrace n_senders=2 n_receivers=2 t=2 kind=threshold alpha=1.0 m=0 "
+                     b"rho=1 seed=0\n0 in 0:2 out 1:\xff2\n", id="attack"),
+        pytest.param(("simulate", "--population", "{bad}", "--rho", 10),
+                     b'{"n_senders": 1,\n "\xff": 1}\n', id="simulate"),
+        pytest.param(("predict", "--population", "{bad}", "--rho", 10),
+                     b'{"n_senders": 1,\n "\xff": 1}\n', id="predict"),
+        pytest.param(("ingest", "--events", "{bad}", "--population-out", "{tmp}/pop.json"),
+                     b"0,a,b\n1,\xfe\xff,c\n", id="ingest"),
+        pytest.param(("experiment", "--spec", "{bad}"), b'{"n_users": 8,\n "rho": "\xff"}\n',
+                     id="experiment"),
+    ])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, argv, text):
+        (tmp_path / "bad").write_bytes(text)
+        argv = [str(a).format(bad=tmp_path / "bad", tmp=tmp_path) for a in argv]
+        self.check_error(capsys, *argv, "--out", tmp_path / "out.txt",
+                         match="line 2: 'utf-8' codec can't decode byte")
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("values", [[100, 200.5], [100, "200"], [100, True]])
     def test_spec_with_a_bad_sweep_value(self, tmp_path, capsys, values):
         spec_path = tmp_path / "spec.json"
@@ -237,3 +288,15 @@ def test_attack_options_match_the_library():
     solver = SolverOptions()
     for name in ("max_iter", "tol"):
         assert options[name].default == getattr(solver, name)
+
+
+def test_import_path_loads_no_scipy():
+    # the runtime needs numpy only; importing scipy would add about a second to every command
+    src = str(Path(mixprofile.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, mixprofile, mixprofile.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"

@@ -319,6 +319,11 @@ class TestClsda:
         with pytest.raises(InvalidParameterError):
             SolverOptions(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            SolverOptions(tol=tol)
+
 
 class TestProjectSimplex:
     def test_feasible_point_unchanged(self):

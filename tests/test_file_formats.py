@@ -21,6 +21,8 @@ from mixprofile import (
     ProfileEstimate,
     load_estimate,
     load_events,
+    load_population,
+    load_spec,
     load_trace,
     save_estimate,
     save_trace,
@@ -445,3 +447,31 @@ class TestEventLog:
             return  # no events: load_events raises EmptyLogError instead
         with mock.patch.object(mixsim, "TEXT_BLOCK", block):
             assert events_verdict(load_events, path) == expected
+
+
+NOT_UTF8 = {  # each names the loader, a file with a byte that is not UTF-8, and its line
+    "trace rounds": (load_trace,
+                     HEADER.encode() + b"0 in 0:2 out 1:2\n1 in 0:1 1:\xff1 out 0:1 1:1\n", 3),
+    "trace header": (load_trace, b"# mixtrace n_senders=3 n_receivers=\xc3\n", 1),
+    "pool_prior": (load_trace, b"# mixtrace n_senders=1 n_receivers=1 t=1 kind=binomial_pool "
+                               b"alpha=0.5 m=1 rho=1 seed=0\n# pool_prior \xe2\x82\n", 2),
+    "event log": (load_events, b"0,a,x\n1,b,y\n2,\xc3(,z\n3,c,x\n", 3),
+    "estimate rows": (load_estimate,
+                      b"# estimate method=lsda iterations=1 residual=0 converged=True "
+                      b"n_senders=3 n_receivers=2\n0.5 0.5\n1 0\n\xe2\x82 1\n", 4),
+    "estimate header": (load_estimate, b"# estimate method=\xff\n", 1),
+    "population": (load_population, b'{"n_senders": 1,\n "n_receivers": 1,\n "\xff": 0}\n', 3),
+    "spec": (load_spec, b'{"n_users": 8,\n "rho": "\xff"}\n', 2),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+@pytest.mark.parametrize("load, data, line_no", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, load, data, line_no, block):
+    # a block that does not decode takes the line-at-a-time path like any other bad block
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    with mock.patch.object(mixsim, "TEXT_BLOCK", block), pytest.raises(ParseError) as info:
+        load(path)
+    assert info.value.line_no == line_no
+    assert "can't decode byte" in str(info.value)

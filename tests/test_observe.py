@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mixprofile import InvalidParameterError, expected_departures
+from mixprofile.observe import BLOCK
 
 from conftest import make_trace
 
@@ -100,3 +101,27 @@ class TestExpectedDepartures:
         trace = pool_trace_from_counts([[1, 1]], alpha=0.5, m=3, pool_prior=np.full(3, 1 / 3))
         with pytest.raises(InvalidParameterError, match="length"):
             expected_departures(trace)
+
+
+class TestBlockedRecursion:
+    """``expected_departures`` runs in blocks of ``BLOCK`` rounds; lengths around
+    the block edges must agree with the matrix-form oracle."""
+
+    @pytest.mark.parametrize("rho", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_agrees_with_matrix_form_across_block_edges(self, rho, alpha):
+        rng = np.random.default_rng(rho)
+        counts = rng.multinomial(6, np.full(5, 0.2), size=rho)
+        prior = rng.dirichlet(np.ones(5))
+        trace = pool_trace_from_counts(counts, alpha=alpha, m=9, pool_prior=prior)
+        n0 = np.zeros((rho, 5))
+        n0[0] = 9 * prior
+        expected = convolution_matrix(alpha, rho) @ (trace.U + n0)
+        np.testing.assert_allclose(expected_departures(trace).U_hat, expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("rho", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_alpha_one_is_bit_identical(self, rho):
+        rng = np.random.default_rng(rho)
+        counts = rng.multinomial(6, np.full(5, 0.2), size=rho)
+        trace = pool_trace_from_counts(counts, alpha=1.0)
+        np.testing.assert_array_equal(expected_departures(trace).U_hat, trace.U)
