@@ -49,8 +49,18 @@ class _Given(argparse.Action):
         namespace.given = (*namespace.given, option_string)
 
 
-#: the ``attack`` flags that only some methods read, with the methods that read each
-_METHOD_FLAGS = {"--ridge": (LSDA, RLS, ZCLIP), "--max-iter": (CLSDA,), "--tol": (CLSDA,)}
+#: the flags that only some choices of ``--method`` (``attack``) or ``--kind`` (``simulate``,
+#: ``predict``) read, with the choices that read each
+_READERS = {"--ridge": (LSDA, RLS, ZCLIP), "--max-iter": (CLSDA,), "--tol": (CLSDA,),
+            "--alpha": (BINOMIAL_POOL, "pool"), "--m": (BINOMIAL_POOL,)}
+
+
+def _check_given(args, selector: str) -> None:
+    """Reject each flag in ``args.given`` that the choice of ``--<selector>`` does not read."""
+    choice = getattr(args, selector)
+    for flag in args.given:
+        if choice not in _READERS[flag]:
+            raise InvalidParameterError(f"--{selector} {choice} does not read {flag}")
 
 
 def _cmd_gen(args) -> int:
@@ -61,6 +71,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_given(args, "kind")
     pop = load_population(args.population)
     prior = pop.frequencies if (args.kind == BINOMIAL_POOL and args.m > 0) else None
     config = MixConfig(kind=args.kind, t=args.t, alpha=args.alpha, m=args.m, pool_prior=prior)
@@ -71,9 +82,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    for flag in args.given:
-        if args.method not in _METHOD_FLAGS[flag]:
-            raise InvalidParameterError(f"--method {args.method} does not read {flag}")
+    _check_given(args, "method")
     trace = load_trace(args.trace)
     if args.method == "lsda":
         est = lsda(trace, ridge=args.ridge)
@@ -95,6 +104,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_given(args, "kind")
     pop = load_population(args.population)
     stats = uniformity_stats(pop)
     base = (pop.frequencies, stats.u, stats.u_bar, args.t, args.rho)
@@ -176,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--kind", choices=MIX_KINDS, default="threshold")
     p.add_argument("--t", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--alpha", action=_Given, type=float, default=1.0, help="binomial_pool only")
+    p.add_argument("--m", action=_Given, type=int, default=0, help="binomial_pool only")
     p.add_argument("--rho", type=int, required=True)
     _seed(p)
     _out(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(given=(), func=_cmd_simulate)
 
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
@@ -197,19 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", action=_Given, type=float, default=solver.tol,
         help="clsda stops when the relative change of the accepted iterate is at most this",
     )
-    p.set_defaults(given=())
     _out(p)
-    p.set_defaults(func=_cmd_attack)
+    p.set_defaults(given=(), func=_cmd_attack)
 
     p = sub.add_parser("predict", help="closed-form error prediction for a population")
     p.add_argument("--population", required=True)
     p.add_argument("--kind", choices=("threshold", "pool"), default="threshold")
     p.add_argument("--t", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", action=_Given, type=float, default=1.0, help="pool only")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--regime", choices=REGIMES, default=EXACT)
     _out(p, formats=True)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(given=(), func=_cmd_predict)
 
     p = sub.add_parser("ingest", help="batch a real event log into a threshold trace")
     p.add_argument("--events", required=True)

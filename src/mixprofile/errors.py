@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text decoding that raises them."""
+
+import codecs
+import contextlib
 
 
 class MixProfileError(Exception):
@@ -46,6 +49,19 @@ def _decode_utf8(data: bytes, first_line_no: int = 1) -> str:
     except UnicodeDecodeError as exc:
         line_no = first_line_no + data.count(b"\n", 0, exc.start)
         raise ParseError(str(exc), line_no=line_no) from None
+
+
+@contextlib.contextmanager
+def _open_utf8(path):
+    """``path`` open for reading bytes, past the UTF-8 byte order mark that may start it.
+
+    Spreadsheet exports begin with the mark; anywhere later it stays in the
+    text, where the parsers reject it.
+    """
+    with open(path, "rb") as fh:
+        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+            fh.read(len(codecs.BOM_UTF8))
+        yield fh
 
 
 class EmptyLogError(MixProfileError, ValueError):

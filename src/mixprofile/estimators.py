@@ -23,6 +23,7 @@ from .errors import (
     SingularSystemError,
     SolverDivergedError,
     _decode_utf8,
+    _open_utf8,
 )
 from .mixsim import Trace, _read_blocks
 from .observe import expected_departures
@@ -405,7 +406,7 @@ def load_estimate(path) -> ProfileEstimate:
     :func:`~mixprofile.mixsim._read_blocks`, so a bad row names its line; too
     few rows raise without one.
     """
-    with open(path, "rb") as fh:
+    with _open_utf8(path) as fh:
         if not (head := _decode_utf8(fh.readline())).startswith("# estimate "):
             raise ParseError("missing estimate header", line_no=1)
         header = dict(tok.partition("=")[::2] for tok in head[len("# estimate ") :].split())

@@ -28,6 +28,7 @@ from .errors import (
     SingularSystemError,
     SolverDivergedError,
     _decode_utf8,
+    _open_utf8,
 )
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
 from .metrics import aggregate_repetitions, profile_mse_vector
@@ -151,7 +152,7 @@ class ExperimentReport:
 
 def load_spec(path) -> ExperimentSpec:
     """Read an experiment spec file (JSON mirroring the spec fields)."""
-    with open(path, "rb") as fh:
+    with _open_utf8(path) as fh:
         text = _decode_utf8(fh.read())
     try:
         doc = json.loads(text)

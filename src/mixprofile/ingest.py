@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError
+from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError, _open_utf8
 from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs, _read_blocks
 from .population import UserPopulation
 
@@ -73,7 +73,7 @@ def load_events(path) -> EventLog:
     """
     senders: dict[str, int] = {}  # id -> code, in order of first appearance
     receivers: dict[str, int] = {}
-    with open(path, "rb") as fh:
+    with _open_utf8(path) as fh:
         columns = _read_blocks(fh, lambda lines, _: _parse_block(lines, senders, receivers), 1)
     if not any(len(c[0]) for c in columns):
         raise EmptyLogError(f"no events in {path}")

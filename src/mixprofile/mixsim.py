@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, UnsupportedQueryError, _decode_utf8
+from .errors import InvalidParameterError, ParseError, UnsupportedQueryError, _decode_utf8, _open_utf8
 from .population import SUM_TOL, UserPopulation
 
 THRESHOLD = "threshold"
@@ -72,6 +72,11 @@ class MixConfig:
             if np.any(prior < 0) or abs(float(prior.sum()) - 1.0) > SUM_TOL:
                 raise InvalidParameterError("pool_prior must be a probability vector")
             object.__setattr__(self, "pool_prior", prior)
+
+    def check_prior(self, n_senders: int) -> None:
+        """Raise unless an initial pool (``m > 0``) has a ``pool_prior`` over ``n_senders``."""
+        if self.m > 0 and (self.pool_prior is None or self.pool_prior.shape != (n_senders,)):
+            raise InvalidParameterError(f"m={self.m} needs a pool_prior of length {n_senders}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,22 @@ def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> 
     return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols).reshape(shape)
 
 
+def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Column drawn by ``u[k]`` from the probability row ``probs[rows[k]]``, by one search.
+
+    The rows' cumulative sums, normalised by their last entry and shifted by the
+    row index, form one flat table, searched with ``side="right"`` for the keys
+    ``row + u`` held below ``row + 1`` (which ``row + u`` can round up to).  A
+    probability-0 column repeats the entry before it, so no key draws it.
+    """
+    cdf = np.cumsum(np.atleast_2d(probs), axis=1)
+    cdf /= cdf[:, -1:]
+    n_rows, n_cols = cdf.shape
+    table = (cdf + np.arange(n_rows)[:, None]).ravel()
+    keys = np.minimum(rows + u, np.nextafter(rows + 1.0, 0))
+    return np.searchsorted(table, keys, side="right") - rows * n_cols
+
+
 def simulate_trace(
     pop: UserPopulation,
     config: MixConfig,
@@ -168,56 +189,42 @@ def simulate_trace(
 ) -> Trace:
     """Simulate ``rho`` rounds of mixing over ``pop``.
 
-    The whole trace is drawn at once.  Each round's senders are one
-    multinomial draw of ``t`` trials from the sending frequencies, and each
-    message's recipient is drawn independently from its sender's profile row.
-    For a pool mix the ``m`` initial pool messages get senders from a single
-    multinomial draw over ``pool_prior``, and every message gets a geometric
-    delay: it leaves in each round from its entry on (round 0 for the initial
-    pool) with probability ``alpha``.
+    The whole trace is drawn at once by :func:`_inverse_cdf`, one uniform per
+    message: each round's ``t`` senders i.i.d. from the sending frequencies, a
+    pool mix's ``m`` initial pool messages from ``pool_prior``, and each
+    recipient from its sender's profile row.  For a pool mix every message also
+    gets a geometric delay: it leaves in each round from its entry on (round 0
+    for the initial pool) with probability ``alpha``.
 
     Identical arguments yield bit-identical traces, extending ``rho`` keeps
-    the earlier rounds, and a pool mix with ``alpha=1, m=0`` reproduces the
-    threshold mix output exactly (the delays live on their own substream).
+    the earlier rounds (each concern draws a prefix of its own substream), and
+    a pool mix with ``alpha=1, m=0`` reproduces the threshold mix output
+    exactly (the delays live on their own substream).
     """
     if rho < 1:
         raise InvalidParameterError("rho must be >= 1")
     if seed < 0:
         raise InvalidParameterError("seed must be >= 0")
-    pool = config.kind == BINOMIAL_POOL
-    m = config.m
-    if pool and m > 0:
-        if config.pool_prior is None:
-            raise InvalidParameterError("pool_prior is required when m > 0")
-        if config.pool_prior.shape != (pop.n_senders,):
-            raise InvalidParameterError("pool_prior length must equal n_senders")
+    config.check_prior(pop.n_senders)
+    m, t = config.m, config.t
+    # message order: the initial pool, then round by round in draw order
+    rounds = np.repeat(np.arange(rho), t)
+    senders = _inverse_cdf(pop.frequencies, 0, _substream(seed, _SS_SENDERS).random(rho * t))
+    initial = (_inverse_cdf(config.pool_prior, 0, _substream(seed, _SS_INITIAL_POOL).random(m))
+               if m else senders[:0])
+    src = np.concatenate([initial, senders])
+    entry = np.concatenate([np.full(m, -1), rounds])
+    dst = _inverse_cdf(pop.profiles, src, _substream(seed, _SS_RECIPIENTS).random(src.size))
 
-    n_s, n_r, t = pop.n_senders, pop.n_receivers, config.t
-    cdf = np.cumsum(pop.profiles, axis=1)
-    cdf[:, -1] = 1.0
-
-    # message order: the initial pool, then round by round with senders ascending
-    U = _substream(seed, _SS_SENDERS).multinomial(t, pop.frequencies, size=rho)
-    counts0 = _substream(seed, _SS_INITIAL_POOL).multinomial(m, config.pool_prior) if m else 0
-    nz = np.flatnonzero(U)
-    src = np.concatenate([np.repeat(np.arange(n_s), counts0), np.repeat(nz % n_s, U.ravel()[nz])])
-    entry = np.concatenate([np.full(m, -1), np.repeat(np.arange(rho), t)])
-
-    # inverse-CDF recipient draw, one searchsorted per sender's profile row
-    u = _substream(seed, _SS_RECIPIENTS).random(src.size)
-    dst = np.empty(src.size, dtype=np.int64)
-    starts = np.cumsum(np.bincount(src, minlength=n_s))[:-1]
-    for i, idx in enumerate(np.split(np.argsort(src), starts)):
-        dst[idx] = np.searchsorted(cdf[i], u[idx], side="left")
-
-    if pool:
+    if config.kind == BINOMIAL_POOL:
         delay = _substream(seed, _SS_DEPARTURES).geometric(config.alpha, size=src.size) - 1
         exit_ = np.maximum(entry, 0) + delay
         exit_[exit_ >= rho] = -1
     else:
         exit_ = entry
     delivered = exit_ >= 0
-    Y = _count_pairs(exit_[delivered], dst[delivered], (rho, n_r))
+    U = _count_pairs(rounds, senders, (rho, pop.n_senders))
+    Y = _count_pairs(exit_[delivered], dst[delivered], (rho, pop.n_receivers))
 
     gt = GroundTruth(src, dst, entry, exit_) if record_ground_truth else None
     return Trace(U=U, Y=Y, config=config, seed=seed, ground_truth=gt)
@@ -237,10 +244,8 @@ def delay_stats(trace: Trace) -> dict:
     gt = trace.ground_truth
     mask = (gt.entry_rounds >= 0) & (gt.exit_rounds >= 0)
     delays = gt.exit_rounds[mask] - gt.entry_rounds[mask]
-    histogram = {}
-    if delays.size:
-        values, counts = np.unique(delays, return_counts=True)
-        histogram = {int(d): int(c) for d, c in zip(values, counts)}
+    values, counts = np.unique(delays, return_counts=True)
+    histogram = {int(d): int(c) for d, c in zip(values, counts)}
     mean = float(delays.mean()) if delays.size else float("nan")
     return {"mean_delay_rounds": mean, "delay_histogram": histogram}
 
@@ -397,7 +402,7 @@ def load_trace(path) -> Trace:
     missing round without one.  A header whose ``rho`` the rest of the file
     cannot hold, or whose sizes cannot be allocated, raises at line 1.
     """
-    with open(path, "rb") as fh:
+    with _open_utf8(path) as fh:
         head = list(itertools.islice(fh, 2))
         text = [_decode_utf8(line, line_no) for line_no, line in enumerate(head, 1)]
         rho, n_senders, n_receivers, config, seed, body_start = _read_header(text)

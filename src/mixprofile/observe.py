@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .mixsim import BINOMIAL_POOL, Trace
 
 #: rounds per block of the recursion: the fastest block, or within 5% of it, from 100 to
@@ -50,15 +49,11 @@ def expected_departures(trace: Trace) -> ExpectedDepartures:
     ``U`` exactly.
     """
     cfg = trace.config
-    if cfg.kind != BINOMIAL_POOL:
-        return ExpectedDepartures(trace.U.astype(float))
-    if cfg.m > 0 and cfg.pool_prior is None:
-        raise InvalidParameterError("pool_prior is required when m > 0")
-
     u_hat = trace.U.astype(float)
+    if cfg.kind != BINOMIAL_POOL:
+        return ExpectedDepartures(u_hat)
+    cfg.check_prior(trace.n_senders)
     if cfg.m > 0:
-        if cfg.pool_prior.shape != (trace.n_senders,):
-            raise InvalidParameterError("pool_prior length must equal n_senders")
         u_hat[0] += cfg.m * cfg.pool_prior
     alpha, beta = cfg.alpha, 1.0 - cfg.alpha
     lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))

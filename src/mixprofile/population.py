@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, _decode_utf8
+from .errors import InvalidParameterError, ParseError, _decode_utf8, _open_utf8
 
 PROFILE_DISTS = ("zipf", "uniform", "deterministic")
 FREQ_DISTS = ("uniform", "zipf")
@@ -169,7 +169,7 @@ def save_population(pop: UserPopulation, path) -> None:
 
 def load_population(path) -> UserPopulation:
     """Read a population file written by :func:`save_population`, checking sizes first."""
-    with open(path, "rb") as fh:
+    with _open_utf8(path) as fh:
         text = _decode_utf8(fh.read())
     try:
         doc = json.loads(text)

@@ -242,6 +242,19 @@ class TestBadInput:
                          match=f"--method {method} does not read {flag}")
         assert not (tmp_path / "est.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--alpha", 0.3),
+        ("simulate", "--m", 5),
+        ("predict", "--alpha", 0.3),
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_flag_the_threshold_kind_does_not_read(self, tmp_path, capsys, argv):
+        # a threshold mix has alpha=1 and m=0; the flag used to be dropped without a word
+        command, flag, value = argv
+        self.check_error(capsys, command, "--population", tmp_path / "missing.json", "--rho", 10,
+                         "--kind", "threshold", flag, value, "--out", tmp_path / "out.txt",
+                         match=f"--kind threshold does not read {flag}")
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_clsda_tol_that_is_not_finite_and_positive(self, tmp_path, capsys, tol):
         pop_path, trace_path = tmp_path / "pop.json", tmp_path / "trace.txt"

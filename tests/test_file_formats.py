@@ -7,6 +7,7 @@ writers still produce the bytes of the one-token-at-a-time reference writers
 kept next to them.
 """
 
+import codecs
 import os
 import re
 from unittest import mock
@@ -17,14 +18,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mixprofile import (
+    ExperimentSpec,
     ParseError,
     ProfileEstimate,
+    gen_population,
     load_estimate,
     load_events,
     load_population,
     load_spec,
     load_trace,
     save_estimate,
+    save_population,
+    save_spec,
     save_trace,
 )
 from mixprofile import ingest, mixsim
@@ -475,3 +480,29 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, load, data, line_no, 
         load(path)
     assert info.value.line_no == line_no
     assert "can't decode byte" in str(info.value)
+
+
+WRITERS = {  # each names the loader and a writer of a valid file for it
+    "trace": (load_trace, lambda path: save_trace(random_trace(4, 2, 5, seed=1)[1], path)),
+    "event log": (load_events, lambda path: path.write_text("# timestamp,sender,receiver\n"
+                                                            "0,a,x\n1,b,y\n")),
+    "estimate": (load_estimate, lambda path: save_estimate(ProfileEstimate(np.eye(2), "lsda"), path)),
+    "population": (load_population, lambda path: save_population(gen_population(4, 2), path)),
+    "spec": (load_spec, lambda path: save_spec(ExperimentSpec(), path)),
+}
+
+
+@pytest.mark.parametrize("load, write", WRITERS.values(), ids=WRITERS.keys())
+def test_leading_byte_order_mark_is_skipped(tmp_path, load, write):
+    # spreadsheet exports start with the UTF-8 byte order mark; anywhere later it is still text
+    path = tmp_path / "file"
+    write(path)
+    data = path.read_bytes()
+    expected = vars(load(path))
+    path.write_bytes(codecs.BOM_UTF8 + data)
+    np.testing.assert_equal(vars(load(path)), expected)
+    first, rest = data.split(b"\n", 1)
+    path.write_bytes(first + b"\n" + codecs.BOM_UTF8 + rest)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert info.value.line_no == 2

@@ -16,23 +16,34 @@ from mixprofile import (
     simulate_trace,
 )
 
-from mixprofile.mixsim import _SS_RECIPIENTS, _SS_SENDERS, _substream
+from mixprofile.mixsim import _SS_RECIPIENTS, _SS_SENDERS, _inverse_cdf, _substream
 
 from conftest import make_trace
 
 
 def round_by_round_threshold(pop, t, rho, seed):
-    """Reference threshold simulator: one multinomial and one recipient block per round."""
+    """Reference threshold simulator: per round, a categorical draw of ``t`` senders
+    and then of each message's recipient, on the simulator's substreams.
+
+    A message of row ``i`` with key ``k`` takes the first column whose cumulative
+    probability, normalised and shifted by ``i`` as in the simulator's flat table,
+    exceeds ``k``; the key is ``i + u`` held below ``i + 1``.
+    """
     gen_send = _substream(seed, _SS_SENDERS)
     gen_recv = _substream(seed, _SS_RECIPIENTS)
-    cdf = np.cumsum(pop.profiles, axis=1)
-    cdf[:, -1] = 1.0
+
+    def categorical(probs, rows, u):
+        cdf = np.cumsum(probs, axis=1)
+        shifted = cdf / cdf[:, -1:] + np.arange(len(probs))[:, None]
+        keys = np.minimum(rows + u, np.nextafter(rows + 1.0, 0))
+        return np.sum(shifted[rows] <= keys[:, None], axis=1)
+
     U = np.zeros((rho, pop.n_senders), dtype=np.int64)
     Y = np.zeros((rho, pop.n_receivers), dtype=np.int64)
     for r in range(rho):
-        U[r] = gen_send.multinomial(t, pop.frequencies)
-        src = np.repeat(np.arange(pop.n_senders), U[r])
-        dst = np.sum(cdf[src] < gen_recv.random(t)[:, None], axis=1)
+        src = categorical(pop.frequencies[None, :], np.zeros(t, dtype=np.int64), gen_send.random(t))
+        dst = categorical(pop.profiles, src, gen_recv.random(t))
+        U[r] = np.bincount(src, minlength=pop.n_senders)
         Y[r] = np.bincount(dst, minlength=pop.n_receivers)
     return U, Y
 
@@ -128,6 +139,25 @@ class TestThresholdSimulation:
             freq = np.bincount(gt.receivers[mask], minlength=8) / n
             bound = 4 * np.sqrt(pop.profiles[i] * (1 - pop.profiles[i]) / n)
             assert np.all(np.abs(freq - pop.profiles[i]) <= bound + 1e-12)
+        f, n = pop.frequencies, gt.senders.size
+        shares = np.bincount(gt.senders, minlength=8) / n
+        assert np.all(np.abs(shares - f) <= 4 * np.sqrt(f * (1 - f) / n) + 1e-12)
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize("row", [0, 4], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("zero", [0, 1, 2], ids=["first-column", "middle-column",
+                                                     "last-column"])
+    def test_extreme_keys_skip_probability_zero_columns(self, row, zero):
+        # u = 0 keys sit on the row's first table entry, and row + nextafter(1, 0)
+        # can round up to row + 1, the row's last entry, unless held below it
+        probs = np.full((5, 3), 1 / 3)
+        probs[row] = 0.5
+        probs[row, zero] = 0.0
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        cols = _inverse_cdf(probs, np.array([row, row]), u)
+        positive = np.flatnonzero(probs[row])
+        assert cols.tolist() == [positive[0], positive[-1]]
 
 
 class TestPoolSimulation:
