@@ -39,18 +39,6 @@ from .theory import EXACT, ROUGH, predict_mse_pool, predict_mse_threshold
 SWEEPABLE = ("rho", "n_users", "n_friends", "t", "alpha", "freq_dist")
 _SWEEP_ALIASES = {"N": "n_users"}
 
-REPORT_COLUMNS = (
-    "sweep_param",
-    "sweep_value",
-    "method",
-    "mse_p_mean",
-    "mse_p_std",
-    "mse_p_theory_exact",
-    "mse_p_theory_rough",
-    "wall_ms",
-    "status",
-)
-
 
 def _integer(least: int) -> tuple:
     """The rule of an integer field of at least ``least``."""
@@ -70,24 +58,24 @@ _FIELD_RULES = {
     "sweep_param": (lambda v: v in (None, *SWEEPABLE, *_SWEEP_ALIASES),
                     f"null or one of {SWEEPABLE}"),
     "sweep_values": (lambda v: isinstance(v, (list, tuple)), "a list"),
-    "methods": (lambda v: isinstance(v, (list, tuple)) and all(m in METHODS for m in v),
-                f"a list of {METHODS}"),
+    "methods": (lambda v: isinstance(v, (list, tuple)) and all(m in METHODS for m in v)
+                and len(set(v)) == len(v), f"a list of distinct methods from {METHODS}"),
     "include_theory": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
 class _FieldError(InvalidParameterError):
-    """A refused spec value; ``key`` names its field, so :func:`load_spec` can give the line."""
+    """A refused spec value; ``keys`` name its fields, so :func:`load_spec` can give the line."""
 
-    def __init__(self, key: str, message: str):
+    def __init__(self, message: str, *keys: str):
         super().__init__(message)
-        self.key = key
+        self.keys = keys
 
 
 def _check_field(name: str, value, key: str | None = None) -> None:
     test, what = _FIELD_RULES[name]
     if not test(value):
-        raise _FieldError(key or name, f"{name} must be {what}, got {value!r}")
+        raise _FieldError(f"{name} must be {what}, got {value!r}", key or name)
 
 
 @dataclass(frozen=True)
@@ -95,7 +83,9 @@ class ExperimentSpec:
     """Base parameters, one optional sweep, methods and repetition count.
 
     A value of the wrong type or out of range, including a sweep value
-    unfit for the swept field, raises :class:`InvalidParameterError`.
+    unfit for the swept field, raises :class:`InvalidParameterError`, as do
+    a cell with more friends than users and a threshold mix given an
+    ``alpha`` or ``m`` it does not read.
     """
 
     n_users: int = 100
@@ -123,11 +113,27 @@ class ExperimentSpec:
             canon = _SWEEP_ALIASES.get(self.sweep_param, self.sweep_param)
             object.__setattr__(self, "sweep_param", canon)
             if not self.sweep_values:
-                raise _FieldError("sweep_values", "sweep_values must be non-empty")
+                raise _FieldError("sweep_values must be non-empty", "sweep_values")
             for value in self.sweep_values:
                 _check_field(canon, value, key="sweep_values")
         elif self.sweep_values:
-            raise _FieldError("sweep_values", "sweep_values needs a sweep_param")
+            raise _FieldError("sweep_values needs a sweep_param", "sweep_values")
+        if self.mix_kind == THRESHOLD:
+            for key, unread in (("alpha", self.alpha != 1), ("m", self.m != 0),
+                                ("sweep_param", self.sweep_param == "alpha")):
+                if unread:
+                    raise _FieldError("mix_kind threshold reads neither alpha nor m; "
+                                      f"got {key}={getattr(self, key)!r}", key)
+        cells = [{}]  # each cell's sizes that differ from the base values
+        if self.sweep_param in ("n_users", "n_friends"):
+            cells = [{self.sweep_param: value} for value in self.sweep_values]
+        for cell in cells:
+            users = cell.get("n_users", self.n_users)
+            friends = cell.get("n_friends", self.n_friends)
+            if friends > users:
+                keys = ("sweep_values",) if cell else ("n_users", "n_friends")
+                raise _FieldError(f"n_friends must lie in [1, n_users]; got {friends} for "
+                                  f"{users} users", *keys)
 
 
 @dataclass
@@ -142,6 +148,10 @@ class ReportRow:
     wall_ms: float = float("nan")
     status: str = "ok"
     mse_i_mean: list | None = None
+
+
+#: the CSV report's columns: every row field but the per-sender vector
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name != "mse_i_mean")
 
 
 @dataclass
@@ -163,10 +173,11 @@ def load_spec(path) -> ExperimentSpec:
     unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
     try:
         if unknown:
-            raise _FieldError(unknown[0], f"unknown spec field {unknown[0]!r}")
+            raise _FieldError(f"unknown spec field {unknown[0]!r}", unknown[0])
         return ExperimentSpec(**doc)
     except _FieldError as exc:
-        member = re.compile(rf'"{re.escape(exc.key)}"\s*:')  # opens the field, unlike a value
+        keys = "|".join(map(re.escape, exc.keys))
+        member = re.compile(rf'"(?:{keys})"\s*:')  # opens one of the fields, unlike a value
         numbered = enumerate(text.splitlines(), 1)
         line_no = next((n for n, line in numbered if member.search(line)), None)
         raise ParseError(str(exc), line_no=line_no) from exc
@@ -227,74 +238,58 @@ def _run_method(method, trace, pop):
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute every (sweep value, repetition, method) cell of the spec.
 
-    Estimator failures (for example a singular system at too few rounds) are
-    recorded in the row's ``status`` without aborting the sweep.  Identical
-    specs produce identical numeric results; only the wall-time column varies
-    between runs.
+    Each repetition's trace is dropped once its attacks have run, so memory
+    does not grow with the repetition count.  Estimator failures (for
+    example a singular system at too few rounds) are recorded in the row's
+    ``status`` without aborting the sweep; a failed method is not run again
+    in the cell.  Identical specs produce identical numeric results; only
+    the wall-time column varies between runs.
     """
     values = spec.sweep_values if spec.sweep_param is not None else (None,)
     sweep_name = spec.sweep_param or "none"
     rows = []
     for vi, value in enumerate(values):
         params = _cell_params(spec, value)
-        kind = params.mix_kind
-        pops = []
-        traces = []
+        theory = (float("nan"), float("nan"))
+        runs = {method: [] for method in spec.methods}  # method -> [(MSE vector, seconds)]
+        failed = {}  # method -> status label of its first failure
         for k in range(spec.repetitions):
-            pop = gen_population(
-                params.n_users,
-                params.n_friends,
-                params.profile_dist,
-                params.freq_dist,
-                seed=child_seed(spec.master_seed, vi, k, 0),
-            )
-            prior = pop.frequencies if (kind == BINOMIAL_POOL and params.m > 0) else None
-            config = MixConfig(
-                kind=kind, t=params.t, alpha=params.alpha, m=params.m, pool_prior=prior
-            )
-            trace = simulate_trace(
-                pop,
-                config,
-                params.rho,
-                seed=child_seed(spec.master_seed, vi, k, 1),
-                record_ground_truth=False,
-            )
-            pops.append(pop)
-            traces.append(trace)
+            pop = gen_population(params.n_users, params.n_friends, params.profile_dist,
+                                 params.freq_dist, seed=child_seed(spec.master_seed, vi, k, 0))
+            config = MixConfig(kind=params.mix_kind, t=params.t, alpha=params.alpha, m=params.m,
+                               pool_prior=pop.frequencies if params.m > 0 else None)
+            trace = simulate_trace(pop, config, params.rho, record_ground_truth=False,
+                                   seed=child_seed(spec.master_seed, vi, k, 1))
+            if spec.include_theory and k == 0:
+                stats = uniformity_stats(pop)
+                args = (pop.frequencies, stats.u, stats.u_bar, params.t, params.rho)
+                predict = predict_mse_threshold
+                if params.mix_kind == BINOMIAL_POOL:
+                    predict, args = predict_mse_pool, (*args, params.alpha)
+                theory = tuple(predict(*args, regime).mse_transition for regime in (EXACT, ROUGH))
+            for method in spec.methods:
+                if method in failed:
+                    continue
+                start = time.perf_counter()
+                try:
+                    vector = _run_method(method, trace, pop)
+                except MixProfileError as exc:
+                    failed[method] = _error_label(exc)
+                else:
+                    runs[method].append((vector, time.perf_counter() - start))
+            del trace  # one repetition's trace at a time
 
-        theory_exact = theory_rough = float("nan")
-        if spec.include_theory:
-            stats = uniformity_stats(pops[0])
-            args = (pops[0].frequencies, stats.u, stats.u_bar, params.t, params.rho)
-            if kind == BINOMIAL_POOL:
-                theory_exact = predict_mse_pool(*args, params.alpha, EXACT).mse_transition
-                theory_rough = predict_mse_pool(*args, params.alpha, ROUGH).mse_transition
+        for method, done in runs.items():
+            row = ReportRow(sweep_name, value if value is not None else "", method,
+                            mse_p_theory_exact=theory[0], mse_p_theory_rough=theory[1])
+            if method in failed:
+                row.status = failed[method]
             else:
-                theory_exact = predict_mse_threshold(*args, EXACT).mse_transition
-                theory_rough = predict_mse_threshold(*args, ROUGH).mse_transition
-
-        for method in spec.methods:
-            row = ReportRow(
-                sweep_param=sweep_name,
-                sweep_value=value if value is not None else "",
-                method=method,
-                mse_p_theory_exact=theory_exact,
-                mse_p_theory_rough=theory_rough,
-            )
-            vectors = []
-            elapsed = []
-            try:
-                for pop, trace in zip(pops, traces):
-                    start = time.perf_counter()
-                    vectors.append(_run_method(method, trace, pop))
-                    elapsed.append(time.perf_counter() - start)
-            except MixProfileError as exc:
-                row.status = _error_label(exc)
-            else:
+                vectors, seconds = zip(*done)
                 agg = aggregate_repetitions(vectors, pop.n_receivers)
                 row.mse_p_mean = agg.mse_transition
                 row.mse_p_std = float(agg.per_repetition.std(ddof=1)) if spec.repetitions > 1 else 0.0
-                row.wall_ms = float(np.mean(elapsed) * 1e3)
+                row.wall_ms = float(np.mean(seconds) * 1e3)
                 if method != "sda":
                     row.mse_i_mean = [float(v) for v in agg.mse_profile]
             rows.append(row)

@@ -1,14 +1,19 @@
 import csv
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mixprofile.experiment
 from mixprofile import (
     ExperimentSpec,
     InvalidParameterError,
     NormalEquations,
     ParseError,
+    SingularSystemError,
+    Trace,
     load_spec,
     run_experiment,
     save_report_csv,
@@ -79,6 +84,49 @@ class TestSpec:
         with pytest.raises(ParseError, match="line 3:"):
             load_spec(path)
 
+    def test_rejects_a_repeated_method(self):
+        with pytest.raises(InvalidParameterError, match="methods must be a list of distinct"):
+            tiny_spec(methods=("lsda", "clsda", "lsda"))
+
+    @pytest.mark.parametrize("overrides, users, friends", [
+        (dict(n_users=2), 2, 3),
+        (dict(n_friends=11), 10, 11),
+        (dict(sweep_param="n_users", sweep_values=(10, 2)), 2, 3),
+        (dict(sweep_param="N", sweep_values=(10, 2)), 2, 3),
+        (dict(sweep_param="n_friends", sweep_values=(3, 12)), 10, 12),
+    ])
+    def test_rejects_a_cell_with_more_friends_than_users(self, overrides, users, friends):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"n_friends must lie in \[1, n_users\]; got {friends} for {users} users"):
+            tiny_spec(**overrides)
+
+    def test_a_sweep_may_leave_the_base_sizes_unused(self):
+        spec = tiny_spec(n_users=2, n_friends=3, sweep_param="n_users", sweep_values=(3, 5))
+        assert spec.sweep_values == (3, 5)
+
+    @pytest.mark.parametrize("doc, line, match", [
+        ({"n_users": 20, "n_friends": 5, "sweep_param": "n_users", "sweep_values": [20, 3]}, 5,
+         "n_friends must lie in \\[1, n_users\\]; got 5 for 3 users"),
+        ({"t": 4, "n_users": 8}, 3, "n_friends must lie .*; got 25 for 8 users"),
+        ({"t": 4, "n_friends": 130}, 3, "n_friends must lie .*; got 130 for 100 users"),
+        ({"mix_kind": "threshold", "alpha": 0.5, "m": 4}, 3,
+         "mix_kind threshold reads neither alpha nor m; got alpha=0.5"),
+        ({"mix_kind": "threshold", "t": 4, "m": 4}, 4, "mix_kind threshold reads .*; got m=4"),
+        ({"sweep_param": "alpha", "sweep_values": [0.2, 0.9]}, 2,
+         "mix_kind threshold reads .*; got sweep_param='alpha'"),
+        ({"methods": ["lsda", "lsda"]}, 2, "methods must be a list of distinct methods"),
+    ])
+    def test_spec_file_rule_names_the_line(self, tmp_path, doc, line, match):
+        path = tmp_path / "spec.json"
+        path.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                            for k, v in doc.items()) + "\n}\n")
+        with pytest.raises(ParseError, match=f"line {line}: {match}"):
+            load_spec(path)
+
+    def test_pool_spec_may_sweep_alpha(self):
+        spec = tiny_spec(mix_kind="binomial_pool", m=3, sweep_param="alpha", sweep_values=(0.2, 0.9))
+        assert spec.sweep_values == (0.2, 0.9)
+
 
 class TestRunExperiment:
     def test_minimal_sweep_has_one_row(self):
@@ -140,6 +188,68 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert [row.sweep_value for row in report.rows] == ["uniform", "zipf"]
         assert all(row.status == "ok" for row in report.rows)
+
+    def test_memory_does_not_grow_with_repetitions(self):
+        def peak(repetitions):
+            spec = ExperimentSpec(n_users=30, rho=4000, methods=("lsda", "clsda"),
+                                  repetitions=repetitions)
+            tracemalloc.start()
+            try:
+                run_experiment(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm up what a first run allocates once
+        assert peak(6) <= 1.5 * peak(1)
+
+    def test_a_failing_method_leaves_the_other_rows_alone(self):
+        spec = tiny_spec(repetitions=3, sweep_param="rho", sweep_values=(200, 400))
+        alone = run_experiment(spec).rows
+        paired = run_experiment(replace(spec, methods=("lsda", "sda"))).rows
+        assert [row.method for row in paired] == ["lsda", "sda"] * 2
+        for a, b in zip(alone, paired[::2]):
+            assert (a.mse_p_mean, a.mse_p_std, a.mse_p_theory_exact, a.mse_p_theory_rough) == \
+                (b.mse_p_mean, b.mse_p_std, b.mse_p_theory_exact, b.mse_p_theory_rough)
+            assert a.mse_i_mean == b.mse_i_mean and a.status == b.status == "ok"
+        assert all(row.status == "invalid-scenario" for row in paired[1::2])
+
+    def test_a_failed_method_is_not_run_again(self, monkeypatch):
+        calls = []
+
+        def singular(trace):
+            calls.append(trace)
+            raise SingularSystemError("singular")
+
+        monkeypatch.setattr(mixprofile.experiment, "lsda", singular)
+        rows = run_experiment(tiny_spec(repetitions=3, methods=("lsda", "clsda"))).rows
+        assert len(calls) == 1
+        assert [row.status for row in rows] == ["singular-system", "ok"]
+
+
+def test_each_estimator_sees_each_trace_once(monkeypatch):
+    """The experiment's module globals are called once per (cell, repetition), trace first."""
+    calls = {name: [] for name in ("simulate_trace", "lsda", "clsda")}
+
+    def recorder(name):
+        wrapped = getattr(mixprofile.experiment, name)
+
+        def record(*args, **kwargs):
+            result = wrapped(*args, **kwargs)
+            calls[name].append(result if name == "simulate_trace" else args[0])
+            return result
+
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(mixprofile.experiment, name, recorder(name))
+    spec = tiny_spec(repetitions=3, sweep_param="rho", sweep_values=(200, 300),
+                     methods=("lsda", "clsda"))
+    assert all(row.status == "ok" for row in run_experiment(spec).rows)
+    traces = calls["simulate_trace"]
+    assert len(traces) == 6 and all(isinstance(trace, Trace) for trace in traces)
+    for seen in (calls["lsda"], calls["clsda"]):
+        assert len(seen) == 6 and all(a is b for a, b in zip(seen, traces))
 
 
 class TestReportFiles:
