@@ -123,14 +123,8 @@ def build_rounds(
     rho = n_batched // t
 
     # reindex to the senders/receivers actually present in complete rounds
-    sender_ids = np.unique(senders)
-    receiver_ids = np.unique(receivers)
-    s_code = np.full(len(events.sender_names), -1, dtype=np.int64)
-    s_code[sender_ids] = np.arange(sender_ids.size)
-    r_code = np.full(len(events.receiver_names), -1, dtype=np.int64)
-    r_code[receiver_ids] = np.arange(receiver_ids.size)
-    senders = s_code[senders]
-    receivers = r_code[receivers]
+    sender_ids, senders = np.unique(senders, return_inverse=True)
+    receiver_ids, receivers = np.unique(receivers, return_inverse=True)
     n_s, n_r = sender_ids.size, receiver_ids.size
 
     rounds = np.repeat(np.arange(rho), t)

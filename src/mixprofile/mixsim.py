@@ -42,7 +42,8 @@ class MixConfig:
     """Mix parameters.
 
     ``kind`` selects the mixing discipline.  For a threshold mix ``alpha``
-    and ``m`` are forced to 1 and 0.  ``pool_prior`` gives the probability
+    and ``m`` must be 1 and 0 and ``pool_prior`` must be None; other values
+    raise :class:`InvalidParameterError`.  ``pool_prior`` gives the probability
     that each of the ``m`` initial pool messages belongs to a given sender;
     it must sum to 1 whenever ``m > 0``.
     """
@@ -59,9 +60,9 @@ class MixConfig:
         if self.t < 1:
             raise InvalidParameterError("threshold t must be >= 1")
         if self.kind == THRESHOLD:
-            object.__setattr__(self, "alpha", 1.0)
-            object.__setattr__(self, "m", 0)
-            object.__setattr__(self, "pool_prior", None)
+            if self.alpha != 1 or self.m != 0 or self.pool_prior is not None:
+                raise InvalidParameterError("a threshold mix needs alpha=1, m=0 and no pool_prior; "
+                                            f"got alpha={self.alpha!r}, m={self.m!r}")
             return
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidParameterError("firing probability alpha must lie in (0, 1]")
@@ -103,6 +104,8 @@ class Trace:
 
     ``U[r, i]`` counts messages sent by user ``i`` in round ``r`` and
     ``Y[r, j]`` counts messages delivered to user ``j`` in round ``r``.
+    Float counts must be whole numbers; a fractional or non-finite one raises
+    :class:`InvalidParameterError`.
     """
 
     U: np.ndarray
@@ -112,8 +115,12 @@ class Trace:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "U", np.asarray(self.U, dtype=np.int64))
-        object.__setattr__(self, "Y", np.asarray(self.Y, dtype=np.int64))
+        for name in ("U", "Y"):
+            counts = np.asarray(getattr(self, name))
+            if counts.dtype.kind == "f" and not (np.isfinite(counts).all()
+                                                 and (counts == np.trunc(counts)).all()):
+                raise InvalidParameterError(f"{name} counts must be whole numbers")
+            object.__setattr__(self, name, counts.astype(np.int64, copy=False))
         self.validate()
 
     @property

@@ -90,7 +90,7 @@ def gen_population(
     """Generate a square synthetic population of ``n_users`` senders/receivers.
 
     Every user gets ``n_friends`` distinct contacts drawn uniformly at random
-    (a user may be her own contact).  ``zipf`` profiles give the k-th chosen
+    (a user may be among its own contacts).  ``zipf`` profiles give the k-th chosen
     contact probability ``(1/k) / H_{n_friends}``; ``uniform`` splits mass
     evenly over the contacts; ``deterministic`` sends everything to the first
     contact.  ``uniform`` frequencies are ``1/n_users``; ``zipf`` frequencies

@@ -4,13 +4,13 @@ The per-sender mean squared error of the batch least-squares estimate admits
 closed-form approximations in terms of the sending frequencies, the profile
 uniformities, the threshold, the firing probability and the number of
 observed rounds.  The predictions scale as ``1/rho`` and become tight as the
-number of rounds grows; the pool formula reduces to the threshold one at
-``alpha = 1``.
+number of rounds grows.  One formula serves both mixes: the threshold
+prediction is the pool prediction at ``alpha = 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,18 +34,19 @@ class MsePrediction:
     ``mse_profile[i]`` predicts the squared error of sender ``i``'s profile
     estimate; users with zero sending frequency are unidentifiable and carry
     an infinite prediction.  ``mse_transition`` is the per-transition average
-    ``sum_i mse_profile[i] / n**2``.  ``alpha_q``/``alpha_r`` and the delay
-    figures are populated for pool predictions only.
+    ``sum_i mse_profile[i] / n**2``.  ``alpha_q``/``alpha_r``, the round
+    penalty and the mean delay are the pool figures at the prediction's
+    ``alpha`` (1, 1, 1 and 0 for a threshold mix).
     """
 
     mse_profile: np.ndarray
     mse_transition: float
     regime: str
     mix_kind: str
-    alpha_q: float | None = None
-    alpha_r: float | None = None
-    round_penalty: float | None = None
-    mean_delay: float | None = None
+    alpha_q: float
+    alpha_r: float
+    round_penalty: float
+    mean_delay: float
 
     @property
     def unidentifiable(self) -> np.ndarray:
@@ -73,15 +74,6 @@ def _check_inputs(f, u, u_bar, t, rho, regime):
     return f, u
 
 
-def _per_user(f, finite_expr, rough_expr, regime):
-    """Evaluate a per-user formula, marking zero-frequency users as infinite."""
-    mse = np.full(f.shape, np.inf)
-    ok = f > 0
-    finv = 1.0 / f[ok]
-    mse[ok] = finite_expr(finv) if regime == EXACT else rough_expr(finv)
-    return mse
-
-
 def predict_mse_threshold(
     f: np.ndarray,
     u: np.ndarray,
@@ -97,22 +89,10 @@ def predict_mse_threshold(
         ``(1/rho) * ((1/f_i - 1) * (1 - 1/t) * u_bar + (1/f_i) * u_i / t)``
 
     The rough regime keeps only the dominant term ``(1/f_i) / rho`` (valid
-    for rare senders with flat profiles).
+    for rare senders with flat profiles).  This is :func:`predict_mse_pool`
+    at ``alpha = 1``.
     """
-    f, u = _check_inputs(f, u, u_bar, t, rho, regime)
-    u_ok = u[f > 0]
-    mse = _per_user(
-        f,
-        lambda finv: ((finv - 1.0) * (1.0 - 1.0 / t) * u_bar + finv / t * u_ok) / rho,
-        lambda finv: finv / rho,
-        regime,
-    )
-    return MsePrediction(
-        mse_profile=mse,
-        mse_transition=float(mse.sum()) / f.size**2,
-        regime=regime,
-        mix_kind=THRESHOLD_KIND,
-    )
+    return replace(predict_mse_pool(f, u, u_bar, t, rho, 1.0, regime), mix_kind=THRESHOLD_KIND)
 
 
 def pool_constants(alpha: float) -> tuple[float, float]:
@@ -142,22 +122,22 @@ def predict_mse_pool(
 
     with ``a_q = alpha/(2-alpha)`` and ``a_r`` as in :func:`pool_constants`.
     Rough regime: ``(1/f_i)/rho * (2-alpha)/alpha``.  At ``alpha = 1`` both
-    regimes coincide with the threshold prediction.  The prediction also
+    regimes reduce to the threshold prediction.  The prediction also
     carries the round penalty ``(2-alpha)/alpha`` (how many times more rounds
     the pool needs for the same error) and the mean message delay
     ``(1-alpha)/alpha``.
     """
     f, u = _check_inputs(f, u, u_bar, t, rho, regime)
     alpha_q, alpha_r = pool_constants(alpha)
-    u_ok = u[f > 0]
-    bracket = u_bar * (1.0 / alpha_r - 1.0 / t) + (1.0 / alpha_q - 1.0 / alpha_r)
     penalty = (2.0 - alpha) / alpha
-    mse = _per_user(
-        f,
-        lambda finv: ((finv - 1.0) * bracket + finv / t * u_ok) / rho,
-        lambda finv: finv / rho * penalty,
-        regime,
-    )
+    mse = np.full(f.shape, np.inf)  # zero-frequency senders stay infinite
+    ok = f > 0
+    finv = 1.0 / f[ok]
+    if regime == EXACT:
+        bracket = u_bar * (1.0 / alpha_r - 1.0 / t) + (1.0 / alpha_q - 1.0 / alpha_r)
+        mse[ok] = ((finv - 1.0) * bracket + finv / t * u[ok]) / rho
+    else:
+        mse[ok] = finv / rho * penalty
     return MsePrediction(
         mse_profile=mse,
         mse_transition=float(mse.sum()) / f.size**2,

@@ -46,6 +46,15 @@ class TestPipeline:
         assert doc["mse_transition"] > 0
         assert len(doc["mse_profile"]) == 12
 
+    def test_threshold_prediction_reports_alpha_one_figures(self, tmp_path):
+        pop_path, pred_path = tmp_path / "pop.json", tmp_path / "pred.json"
+        run("gen", "--n-users", 6, "--n-friends", 2, "--seed", 1, "--out", pop_path)
+        assert run("predict", "--population", pop_path, "--kind", "threshold",
+                   "--t", 3, "--rho", 50, "--out", pred_path) == 0
+        doc = json.loads(pred_path.read_text())
+        figures = [doc[key] for key in ("alpha_q", "alpha_r", "round_penalty", "mean_delay")]
+        assert figures == [1.0, 1.0, 1.0, 0.0]
+
     def test_pool_simulation_and_clsda(self, tmp_path):
         pop_path = tmp_path / "pop.json"
         trace_path = tmp_path / "trace.txt"

@@ -54,8 +54,11 @@ def two_user_population(f0=1.0):
 
 
 class TestConfig:
-    def test_threshold_forces_alpha_and_pool(self):
-        cfg = MixConfig(kind="threshold", t=3, alpha=0.4, m=7)
+    def test_threshold_refuses_pool_settings(self):
+        for settings in (dict(alpha=0.4), dict(m=7), dict(pool_prior=np.array([1.0]))):
+            with pytest.raises(InvalidParameterError, match="threshold mix needs alpha=1"):
+                MixConfig(kind="threshold", t=3, **settings)
+        cfg = MixConfig(kind="threshold", t=3, alpha=1.0, m=0)
         assert cfg.alpha == 1.0 and cfg.m == 0 and cfg.pool_prior is None
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
@@ -271,6 +274,21 @@ class TestTraceValidation:
             make_trace(U=[[1, 0]] * 4, Y=[[2, 1], [0, 0], [0, 0], [0, 0]],
                        kind="binomial_pool", alpha=0.5)
 
+    @pytest.mark.parametrize("bad", [0.7, 1.5, np.nan, np.inf])
+    def test_fractional_or_non_finite_counts_refused(self, bad):
+        cfg = MixConfig(kind="binomial_pool", t=2)
+        with pytest.raises(InvalidParameterError, match="Y counts must be whole numbers"):
+            Trace(U=[[1.0, 1.0]], Y=[[bad, 1.0]], config=cfg)
+        with pytest.raises(InvalidParameterError, match="U counts must be whole numbers"):
+            Trace(U=[[bad, 1.0]], Y=[[1.0, 1.0]], config=cfg)
+
+    def test_whole_float_counts_kept_and_integer_counts_not_copied(self):
+        cfg = MixConfig(kind="binomial_pool", t=2)
+        trace = Trace(U=[[1.0, 1.0]], Y=[[0.0, 1.0]], config=cfg)
+        assert trace.Y.dtype == np.int64 and trace.Y.tolist() == [[0, 1]]
+        U = np.array([[1, 1]], dtype=np.int64)
+        assert Trace(U=U, Y=U, config=cfg).U is U
+
 
 class TestTraceFile:
     def test_round_trip(self, tmp_path):
@@ -333,7 +351,8 @@ class TestTraceFile:
     def _write(tmp_path, body, kind="threshold", m=0, rho=2):
         """A 2-sender, 2-receiver, t=2 trace file with the given round lines."""
         path = tmp_path / "trace.txt"
-        header = (f"# mixtrace n_senders=2 n_receivers=2 t=2 kind={kind} alpha=0.5 m={m} "
+        alpha = 1.0 if kind == "threshold" else 0.5
+        header = (f"# mixtrace n_senders=2 n_receivers=2 t=2 kind={kind} alpha={alpha} m={m} "
                   f"rho={rho} seed=0\n")
         prior = "# pool_prior 0.5 0.5\n" if m else ""
         path.write_text(header + prior + "".join(line + "\n" for line in body))
@@ -418,6 +437,8 @@ class TestTraceFile:
          "# pool_prior 0.25 0.25 0.5", 2),
         ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=binomial_pool alpha=0.5 m=1 rho=1 seed=0\n"
          "# pool_prior 0.6 0.6", 2),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=threshold alpha=0.5 m=0 rho=1 seed=0", 1),
+        ("# mixtrace n_senders=2 n_receivers=2 t=2 kind=threshold alpha=1.0 m=3 rho=1 seed=0", 1),
     ])
     def test_bad_mix_parameters_name_the_header_line(self, tmp_path, header, line):
         path = tmp_path / "trace.txt"

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixprofile import (
     InvalidParameterError,
@@ -79,6 +82,32 @@ class TestPoolPredictor:
         thr = predict_mse_threshold(f, u, ub, t, rho)
         np.testing.assert_array_equal(pool.mse_profile, thr.mse_profile)
         assert pool.alpha_q == 1.0 and pool.alpha_r == 1.0
+
+    def test_threshold_carries_the_alpha_one_figures(self):
+        for regime in ("exact", "rough_approx"):
+            pred = predict_mse_threshold(*baseline_args(n=5), regime=regime)
+            assert pred.mix_kind == "threshold" and pred.regime == regime
+            figures = (pred.alpha_q, pred.alpha_r, pred.round_penalty, pred.mean_delay)
+            assert figures == (1.0, 1.0, 1.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=hnp.arrays(float, st.integers(1, 40), elements=st.sampled_from([0.0, 0.5, 1.0])
+                           | st.floats(1e-6, 1.0)),
+        data=st.data(),
+        u_bar=st.floats(0.0, 0.999),
+        t=st.integers(1, 200),
+        rho=st.integers(1, 10**7),
+        regime=st.sampled_from(["exact", "rough_approx"]),
+    )
+    def test_threshold_is_pool_at_alpha_one_bit_for_bit(self, weights, data, u_bar, t, rho, regime):
+        weights[0] = max(weights[0], 0.25)  # at least one sender sends
+        f = weights / weights.sum()
+        u = data.draw(hnp.arrays(float, f.size, elements=st.floats(0.0, 0.999)))
+        thr = predict_mse_threshold(f, u, u_bar, t, rho, regime)
+        pool = predict_mse_pool(f, u, u_bar, t, rho, 1.0, regime)
+        assert thr.mse_profile.tobytes() == pool.mse_profile.tobytes()
+        assert np.float64(thr.mse_transition).tobytes() == np.float64(pool.mse_transition).tobytes()
 
     def test_baseline_pool_value(self):
         pred = predict_mse_pool(*baseline_args(), alpha=0.5)
