@@ -12,6 +12,7 @@ simplex.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,19 @@ class NormalEquations:
         return float(np.linalg.eigvalsh(self.gram)[-1])
 
 
+#: each live trace's whole-batch normal equations; an entry dies with its trace
+_EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _equations(trace: Trace) -> NormalEquations:
+    """The trace's :class:`NormalEquations`, built on first use (its ``U`` and ``Y``
+    are read-only, so they cannot go stale)."""
+    eq = _EQUATIONS.get(trace)
+    if eq is None:
+        eq = _EQUATIONS[trace] = NormalEquations.from_trace(trace)
+    return eq
+
+
 def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     """Unconstrained least-squares profile estimate.
 
@@ -162,9 +176,11 @@ def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     receiver ``j`` in one solve shared across receivers, after a Cholesky
     factorization has checked the Gram matrix's rank.  Raises
     :class:`SingularSystemError` when the Gram matrix is rank deficient
-    unless ``ridge`` enables the diagonal jitter fallback.
+    unless ``ridge`` enables the diagonal jitter fallback.  The normal
+    equations are built once per ``trace`` object and shared with later
+    :func:`lsda` and :func:`clsda` calls on it.
     """
-    eq = NormalEquations.from_trace(trace)
+    eq = _equations(trace)
     p_hat = eq.solve(ridge)
     return ProfileEstimate(P_hat=p_hat, method=LSDA, iterations=1, residual=eq.residual(p_hat))
 
@@ -231,10 +247,12 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     :class:`SolverDivergedError`.  Only a projected step with a relative
     Frobenius change of at most ``tol`` sets ``converged``, so a converged
     estimate is a projection; a run cut by ``max_iter`` also ends on the simplices.
+    The normal equations are built once per ``trace`` object and shared with
+    :func:`lsda` calls on it.
     """
     if opts is None:
         opts = SolverOptions()
-    eq = NormalEquations.from_trace(trace)
+    eq = _equations(trace)
     gram, cross = eq.gram, eq.cross
 
     lam = eq.lambda_max()
@@ -255,13 +273,14 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     gp = gram @ p
     objective = eq.residual(p, gp)
     p_prev, gp_prev, t = p, gp, 1.0
+    support = p > 0.0  # of the last projected step's P
     history = [objective]
     converged = False
     iterations = settled = 0
     face = None  # 0/1 mask of the support while conjugate gradient runs on its face
     for iterations in range(1, opts.max_iter + 1):
         if face is None and settled >= FACE_SETTLE:
-            face, d, rr = (p > 0.0).astype(float), 0.0, np.inf
+            face, d, rr = support.astype(float), 0.0, np.inf
         if face is None:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
@@ -272,8 +291,6 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
                 # plain step's rise is judged by the divergence guard below
                 t_next, z = 1.0, p
                 p_new, gp_new, obj_new = projected_step(p, gp)
-            if np.vdot(z - p_new, p_new - p) > 0.0:
-                t_next = 1.0
         else:
             r = _face_tangent(cross - gp, face)
             rr, rr_prev = float(np.vdot(r, r)), rr
@@ -295,17 +312,21 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
                 f"clsda objective increased at iteration {iterations}: "
                 f"{objective!r} -> {obj_new!r}"
             )
-        step = float(np.linalg.norm(p_new - p)) / max(float(np.linalg.norm(p)), 1e-300)
+        diff = p_new - p
+        step = float(np.linalg.norm(diff)) / max(float(np.linalg.norm(p)), 1e-300)
         if face is None:
-            settled = settled + 1 if np.array_equal(p_new > 0.0, p > 0.0) else 0
-            p_prev, gp_prev, t = p, gp, t_next
+            if np.vdot(z - p_new, diff) > 0.0:
+                t_next = 1.0
+            support_new = p_new > 0.0
+            settled = settled + 1 if np.array_equal(support_new, support) else 0
+            p_prev, gp_prev, t, support = p, gp, t_next, support_new
         p, gp, objective = p_new, gp_new, obj_new
         history.append(objective)
         if face is None and step <= opts.tol:
             converged = True
             break
         if face is not None and (blocked or step <= opts.tol):
-            face, settled, p_prev, gp_prev, t = None, 0, p, gp, 1.0
+            face, settled, p_prev, gp_prev, t, support = None, 0, p, gp, 1.0, p > 0.0
 
     return ProfileEstimate(
         P_hat=p,

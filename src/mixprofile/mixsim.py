@@ -98,14 +98,18 @@ class GroundTruth:
         return self.senders.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Observable record of a simulated (or ingested) mix run.
 
     ``U[r, i]`` counts messages sent by user ``i`` in round ``r`` and
     ``Y[r, j]`` counts messages delivered to user ``j`` in round ``r``.
     Float counts must be whole numbers; a fractional or non-finite one raises
-    :class:`InvalidParameterError`.
+    :class:`InvalidParameterError`.  Integer arrays are stored without a copy
+    and made read-only, so writing into ``U`` or ``Y`` (or into the arrays
+    passed in) raises ``ValueError``.  A trace compares and hashes by
+    identity: the least-squares attacks build its normal equations once, on
+    first use, and share them while the trace lives.
     """
 
     U: np.ndarray
@@ -120,7 +124,9 @@ class Trace:
             if counts.dtype.kind == "f" and not (np.isfinite(counts).all()
                                                  and (counts == np.trunc(counts)).all()):
                 raise InvalidParameterError(f"{name} counts must be whole numbers")
-            object.__setattr__(self, name, counts.astype(np.int64, copy=False))
+            counts = counts.astype(np.int64, copy=False)
+            counts.flags.writeable = False
+            object.__setattr__(self, name, counts)
         self.validate()
 
     @property
@@ -145,7 +151,7 @@ class Trace:
             raise InvalidParameterError("U and Y must be matrices with one row per round")
         if self.U.shape[0] < 1:
             raise InvalidParameterError("a trace needs at least one round")
-        if np.any(self.U < 0) or np.any(self.Y < 0):
+        if self.U.min(initial=0) < 0 or self.Y.min(initial=0) < 0:
             raise InvalidParameterError("counts must be non-negative")
         for bad, message in _count_rules(self.U, self.Y, self.config):
             if bad.any():

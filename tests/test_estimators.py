@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -475,6 +478,62 @@ class TestSda:
         trace, profile = sda_scenario_trace(n_users=20, n_contacts=4, t=5, rho=20_000, seed=2)
         est = sda(trace, t=5, n_users=20)
         assert np.sum((est - profile) ** 2) < 0.01
+
+
+def departure_calls(monkeypatch):
+    """The traces given to the estimators' ``expected_departures``, in call order."""
+    seen = []
+    build = estimators.expected_departures
+
+    def record(trace):
+        seen.append(trace)
+        return build(trace)
+
+    monkeypatch.setattr(estimators, "expected_departures", record)
+    return seen
+
+
+class TestSharedNormalEquations:
+    def test_lsda_clsda_and_zclip_build_one_set(self, monkeypatch):
+        seen = departure_calls(monkeypatch)
+        trace = small_pool_trace()
+        lsda(trace)
+        clsda(trace)
+        zero_clip(lsda(trace, ridge=True))
+        assert len(seen) == 1 and seen[0] is trace
+
+    def test_shared_statistics_give_the_fresh_estimates(self):
+        first, again = small_pool_trace(), small_pool_trace()
+        clsda(first)
+        np.testing.assert_array_equal(lsda(first).P_hat, lsda(again).P_hat)
+        fresh, shared = clsda(again), clsda(first)
+        np.testing.assert_array_equal(shared.P_hat, fresh.P_hat)
+        np.testing.assert_array_equal(shared.objective_history, fresh.objective_history)
+
+    def test_rls_streams_its_own(self, monkeypatch):
+        seen = departure_calls(monkeypatch)
+        trace = small_pool_trace()
+        lsda(trace)
+        rls(trace)
+        rls(trace)
+        assert len(seen) == 3
+
+    def test_entry_dies_with_its_trace(self):
+        trace = small_pool_trace()
+        lsda(trace)
+        trace_ref = weakref.ref(trace)
+        eq_ref = weakref.ref(estimators._equations(trace))
+        del trace
+        gc.collect()
+        assert trace_ref() is None and eq_ref() is None
+
+    def test_equal_traces_do_not_share(self, monkeypatch):
+        seen = departure_calls(monkeypatch)
+        first = small_pool_trace()
+        second = Trace(U=first.U.copy(), Y=first.Y.copy(), config=first.config)
+        lsda(first)
+        lsda(second)
+        assert len(seen) == 2 and seen[0] is first and seen[1] is second
 
 
 class TestZeroClip:

@@ -214,6 +214,19 @@ class TestRunExperiment:
             assert a.mse_i_mean == b.mse_i_mean and a.status == b.status == "ok"
         assert all(row.status == "invalid-scenario" for row in paired[1::2])
 
+    @pytest.mark.parametrize("methods", [("lsda", "clsda", "zclip", "rls"),
+                                         ("rls", "zclip", "clsda", "lsda")])
+    def test_methods_sharing_a_trace_match_each_run_alone(self, methods):
+        spec = tiny_spec(mix_kind="binomial_pool", alpha=0.6, m=4, n_users=12, rho=600,
+                         methods=methods)
+        together = {row.method: row for row in run_experiment(spec).rows}
+        for method in methods:
+            (alone,) = run_experiment(replace(spec, methods=(method,))).rows
+            row = together[method]
+            assert row.status == alone.status == "ok"
+            assert np.float64(row.mse_p_mean).tobytes() == np.float64(alone.mse_p_mean).tobytes()
+            assert np.asarray(row.mse_i_mean).tobytes() == np.asarray(alone.mse_i_mean).tobytes()
+
     def test_a_failed_method_is_not_run_again(self, monkeypatch):
         calls = []
 

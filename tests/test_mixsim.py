@@ -289,6 +289,36 @@ class TestTraceValidation:
         U = np.array([[1, 1]], dtype=np.int64)
         assert Trace(U=U, Y=U, config=cfg).U is U
 
+    def test_negative_counts_refused(self):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            make_trace(U=[[3, -1]], Y=[[1, 1]])
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            make_trace(U=[[1, 1]], Y=[[3, -1]])
+
+    @pytest.mark.parametrize("kind", ["threshold", "binomial_pool"])
+    def test_zero_column_counts_refused_by_the_row_sums(self, kind):
+        cfg = MixConfig(kind=kind, t=2)
+        empty = np.zeros((3, 0), dtype=np.int64)
+        with pytest.raises(InvalidParameterError, match="every U row must sum to t=2"):
+            Trace(U=empty, Y=np.ones((3, 2), dtype=np.int64), config=cfg)
+        if kind == "threshold":
+            with pytest.raises(InvalidParameterError, match="every threshold Y row must sum"):
+                Trace(U=np.ones((3, 2), dtype=np.int64), Y=empty, config=cfg)
+
+    def test_counts_are_read_only(self):
+        U = np.array([[1, 1], [2, 0]], dtype=np.int64)
+        trace = make_trace(U=U, Y=[[0, 2], [1, 1]])
+        for counts in (trace.U, trace.Y, U):
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0, 0] = 0
+        assert trace.U.tolist() == [[1, 1], [2, 0]]
+
+    def test_traces_hash_and_compare_by_identity(self):
+        trace = make_trace(U=[[1, 1]], Y=[[0, 2]])
+        twin = Trace(U=trace.U.copy(), Y=trace.Y.copy(), config=trace.config)
+        assert {trace: 1, twin: 2}[trace] == 1 and hash(trace) != hash(twin)
+        assert trace == trace and trace != twin
+
 
 class TestTraceFile:
     def test_round_trip(self, tmp_path):
