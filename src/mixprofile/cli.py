@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol", action=_Given, type=float, default=solver.tol,
-        help="clsda stops when the relative change of the accepted iterate is at most this",
+        help="clsda converges when a projected step P -> Q has |Q - P| / |P| at most this",
     )
     _out(p)
     p.set_defaults(given=(), func=_cmd_attack)

@@ -12,6 +12,7 @@ simplex.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ RIDGE_SCALE = 1e-10
 RLS_BLOCK = 1024
 #: projected steps with an unchanged support before :func:`clsda` turns to its face
 FACE_SETTLE = 3
+#: sorted columns of a row that :func:`_project_rows` reads before it widens its scan
+PROJECT_PREFIX = 64
 
 
 @dataclass(frozen=True)
@@ -67,20 +70,28 @@ class ProfileEstimate:
 class SolverOptions:
     """Options for :func:`clsda`'s projected-gradient and conjugate-gradient solver.
 
-    The solver converges once a projected step's relative Frobenius change,
-    ``|P_{k+1} - P_k| / |P_k|``, is at most ``tol``; a conjugate-gradient run on
-    a face ends at the same change.  ``max_iter`` caps the steps of both kinds,
-    one Gram product each (a momentum step replaced by a plain one counts once).
+    The solver converges once a projected step's relative Frobenius length,
+    ``|Q - P_k| / |P_k|``, is at most ``tol``; a conjugate-gradient run on a
+    face ends at the same change.  ``max_iter`` caps the steps of both kinds,
+    one Gram product each.  A ``max_iter`` that is not an integer, or a ``tol``
+    that is not a real number, raises :class:`InvalidParameterError`, as does a
+    bool for either.
     """
 
     max_iter: int = 5000
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise InvalidParameterError("max_iter must be >= 0")
-        if not 0.0 < self.tol < np.inf:  # a NaN fails both comparisons
-            raise InvalidParameterError("tol must be finite and positive")
+        if not _is_number(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise InvalidParameterError(f"max_iter must be an integer >= 0, not {self.max_iter!r}")
+        # a NaN fails both comparisons
+        if not _is_number(self.tol, numbers.Real) or not 0.0 < self.tol < np.inf:
+            raise InvalidParameterError(f"tol must be finite and positive, not {self.tol!r}")
+
+
+def _is_number(value, kind) -> bool:
+    """``value`` is an instance of the ``numbers`` ABC ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _checked_gram(gram: np.ndarray, ridge: bool) -> np.ndarray:
@@ -186,14 +197,30 @@ def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row onto the probability simplex."""
+    """Euclidean projection of every row onto the probability simplex.
+
+    The support of a row is the leading run of its sorted entries ``u_k``
+    above ``(u_1 + ... + u_k - 1) / k``.  Each row is sorted in full, but the
+    run is looked for in its first :data:`PROJECT_PREFIX` sorted entries only;
+    rows whose run fills them are retried at twice the width.
+    """
     u = np.sort(mat, axis=1)[:, ::-1]
-    shift = np.cumsum(u, axis=1)
-    shift -= 1.0
-    shift /= np.arange(1, mat.shape[1] + 1)
-    # the feasibility condition u > shift holds on a prefix of each sorted row
-    n_pos = np.count_nonzero(u > shift, axis=1)
-    out = mat - shift[np.arange(mat.shape[0]), n_pos - 1][:, None]
+    shift = np.empty(mat.shape[0])
+    rows, head = np.arange(mat.shape[0]), u[:, :PROJECT_PREFIX]
+    while rows.size:
+        width = head.shape[1]
+        css = np.cumsum(head, axis=1)
+        css -= 1.0
+        css /= np.arange(1, width + 1)
+        above = head > css
+        n_pos = above.argmin(axis=1)  # the first entry off the support
+        run = above[np.arange(rows.size), n_pos]  # no entry is: the run fills the head
+        n_pos[run] = width
+        done = ~run | (width == mat.shape[1])
+        shift[rows[done]] = css[done, n_pos[done] - 1]
+        rows = rows[~done]
+        head = u[rows, : 2 * width]
+    out = mat - shift[:, None]
     return np.maximum(out, 0.0, out=out)
 
 
@@ -224,29 +251,28 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     probability simplex, working only on the normal equations
     ``G = A.T @ A``, ``C = A.T @ Y``.  The run starts from the unconstrained
     least-squares solution projected onto the simplices, or from the uniform
-    profile when the Gram matrix is rank deficient.  A projected step
-    extrapolates ``Z = P_k + beta_k * (P_k - P_{k-1})`` with the FISTA momentum
-    ``beta_k = (t_k - 1) / t_{k+1}``, ``t_{k+1} = (1 + sqrt(1 + 4 t_k**2)) / 2``,
-    ``t_1 = 1`` (Beck & Teboulle 2009), and steps ``P_{k+1} = proj(Z - mu *
-    (G @ Z - C))`` with ``mu = 1 / lambda_max(G)``; ``G @ Z`` comes
-    from the stored ``G @ P_k`` and ``G @ P_{k-1}``.  The momentum restarts
-    (``t = 1``) when ``<Z - P_{k+1}, P_{k+1} - P_k> > 0`` (gradient restart;
-    O'Donoghue & Candès 2015), and a momentum step that raises the objective
-    is redone as a plain step from ``P_k``.
+    profile when the Gram matrix is rank deficient.  A projected step goes to
+    ``Q = proj(P_k - sigma_k * (G @ P_k - C))`` and takes ``P_{k+1} = P_k + a *
+    D``, ``D = Q - P_k``, with the ``a`` in ``[0, 1]`` that minimises the
+    objective along ``D`` (an exact line search: the objective is quadratic).
+    The first step is plain, ``sigma_1 = 1 / lambda_max(G)``, which needs no
+    search (``a = 1``); after it ``sigma_{k+1} = <D, D> / <D, G @ D>`` is the
+    Barzilai-Borwein step (Barzilai & Borwein 1988) of spectral projected
+    gradient (Birgin, Martinez & Raydan 2000), never shorter than the plain one.
 
     Once the support ``S = P > 0`` has stayed the same for :data:`FACE_SETTLE`
     projected steps, conjugate gradient runs on the face ``{P[~S] = 0, rows
     sum to 1}`` (GPCG; Moré & Toraldo 1991), where the Gram's isolated top
     eigenvalue costs about one extra step instead of setting the step size.
-    Projected steps resume, without momentum, after a step that stops at an
-    entry reaching 0 (set to exactly 0) or changes ``P`` by at most ``tol``.
+    Projected steps resume after a step that stops at an entry reaching 0 (set
+    to exactly 0) or changes ``P`` by at most ``tol``.
 
     Each step of either kind costs one Gram product and counts in
     ``iterations``; ``objective_history`` holds every accepted objective, and
-    a plain or conjugate-gradient step that raises it raises
-    :class:`SolverDivergedError`.  Only a projected step with a relative
-    Frobenius change of at most ``tol`` sets ``converged``, so a converged
-    estimate is a projection; a run cut by ``max_iter`` also ends on the simplices.
+    a step that raises it raises :class:`SolverDivergedError`.  Only a
+    projected step with ``|D| / |P_k|`` at most ``tol`` sets ``converged``; it
+    is taken in full, so a converged estimate is a projection.  A run cut by
+    ``max_iter`` also ends on the simplices.
     The normal equations are built once per ``trace`` object and shared with
     :func:`lsda` calls on it.
     """
@@ -258,12 +284,6 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     lam = eq.lambda_max()
     if lam <= 0.0:
         raise SingularSystemError("design matrix is identically zero")
-    mu = 1.0 / lam
-
-    def projected_step(z, gz):
-        p = _project_rows(z - mu * (gz - cross))
-        gp = gram @ p
-        return p, gp, eq.residual(p, gp)
 
     try:
         p = _project_rows(eq.solve())
@@ -272,7 +292,8 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
 
     gp = gram @ p
     objective = eq.residual(p, gp)
-    p_prev, gp_prev, t = p, gp, 1.0
+    mu = 1.0 / lam
+    sigma = mu  # the next projected step's length
     support = p > 0.0  # of the last projected step's P
     history = [objective]
     converged = False
@@ -281,16 +302,19 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     for iterations in range(1, opts.max_iter + 1):
         if face is None and settled >= FACE_SETTLE:
             face, d, rr = support.astype(float), 0.0, np.inf
+        p_norm = max(float(np.linalg.norm(p)), 1e-300)
         if face is None:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            z, gz = p + beta * (p - p_prev), gp + beta * (gp - gp_prev)
-            p_new, gp_new, obj_new = projected_step(z, gz)
-            if beta > 0.0 and obj_new > objective:
-                # the momentum overshot: drop it and redo the step from P_k; only a
-                # plain step's rise is judged by the divergence guard below
-                t_next, z = 1.0, p
-                p_new, gp_new, obj_new = projected_step(p, gp)
+            g = gp - cross
+            q = _project_rows(p - sigma * g)
+            d = q - p
+            gd = gram @ d
+            dd, dgd = float(np.vdot(d, d)), float(np.vdot(d, gd))
+            step = np.sqrt(dd) / p_norm
+            a = 1.0  # in full: a plain step, one along a flat direction and one that converges
+            if sigma > mu and dgd > 0.0 and step > opts.tol:
+                a = min(max(-float(np.vdot(d, g)) / dgd, 0.0), 1.0)
+            p_new, gp_new = (q, gp + gd) if a == 1.0 else (p + a * d, gp + a * gd)
+            sigma = dd / dgd if dgd > 0.0 else mu
         else:
             r = _face_tangent(cross - gp, face)
             rr, rr_prev = float(np.vdot(r, r)), rr
@@ -306,27 +330,24 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
             p_new, gp_new = np.maximum(p + a * d, 0.0), gp + a * gd
             if blocked:
                 p_new.flat[block] = 0.0
-            obj_new = eq.residual(p_new, gp_new)
+            step = float(np.linalg.norm(p_new - p)) / p_norm
+        obj_new = eq.residual(p_new, gp_new)
         if obj_new > objective + 1e-9 * (1.0 + abs(objective)):
             raise SolverDivergedError(
                 f"clsda objective increased at iteration {iterations}: "
                 f"{objective!r} -> {obj_new!r}"
             )
-        diff = p_new - p
-        step = float(np.linalg.norm(diff)) / max(float(np.linalg.norm(p)), 1e-300)
         if face is None:
-            if np.vdot(z - p_new, diff) > 0.0:
-                t_next = 1.0
             support_new = p_new > 0.0
             settled = settled + 1 if np.array_equal(support_new, support) else 0
-            p_prev, gp_prev, t, support = p, gp, t_next, support_new
+            support = support_new
         p, gp, objective = p_new, gp_new, obj_new
         history.append(objective)
         if face is None and step <= opts.tol:
             converged = True
             break
         if face is not None and (blocked or step <= opts.tol):
-            face, settled, p_prev, gp_prev, t, support = None, 0, p, gp, 1.0, p > 0.0
+            face, settled, support = None, 0, p > 0.0
 
     return ProfileEstimate(
         P_hat=p,

@@ -31,7 +31,7 @@ from mixprofile import (
     zero_clip,
 )
 from mixprofile import estimators
-from mixprofile.estimators import _project_rows
+from mixprofile.estimators import PROJECT_PREFIX, _project_rows
 
 from conftest import make_trace, random_trace, sda_scenario_trace
 
@@ -59,6 +59,25 @@ def project_rows_reference(mat):
     n_pos = np.count_nonzero(u - (css - 1.0) / k > 0, axis=1)
     theta = (css[np.arange(mat.shape[0]), n_pos - 1] - 1.0) / n_pos
     return np.maximum(mat - theta[:, None], 0.0)
+
+
+def project_rows_full_width(mat):
+    """The row projection scanning each whole sorted row, which the prefix scan of
+    ``_project_rows`` must match bit for bit.
+
+    The support is the leading run of sorted entries above their running
+    threshold.  Counting every entry above it instead is not the same: on tied
+    rows such as ``[c + 1/j] * j + [c] * (n - j)`` rounding in the running sum
+    puts entries past the first failure back above it.
+    """
+    u = np.sort(mat, axis=1)[:, ::-1]
+    shift = np.cumsum(u, axis=1)
+    shift -= 1.0
+    shift /= np.arange(1, mat.shape[1] + 1)
+    above = u > shift
+    n_pos = np.where(above.all(axis=1), mat.shape[1], above.argmin(axis=1))
+    out = mat - shift[np.arange(mat.shape[0]), n_pos - 1][:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def plain_projected_gradient(trace, tol, max_iter=100_000):
@@ -226,6 +245,33 @@ class TestClsda:
     def test_objective_non_increasing_on_pool_trace(self):
         assert_non_increasing(clsda(small_pool_trace()).objective_history)
 
+    def test_line_search_cuts_steps_and_the_objective_never_rises(self, monkeypatch):
+        # after the start's projection, every iteration calls _project_rows (a
+        # projected step to Q) or _face_tangent (a conjugate-gradient step) once; a
+        # projected step taken in full accepts the objective of Q, a cut one less
+        steps = []
+        project, tangent = estimators._project_rows, estimators._face_tangent
+
+        def project_spy(mat):
+            steps.append(project(mat))
+            return steps[-1]
+
+        def tangent_spy(x, face):
+            steps.append(None)
+            return tangent(x, face)
+
+        monkeypatch.setattr(estimators, "_project_rows", project_spy)
+        monkeypatch.setattr(estimators, "_face_tangent", tangent_spy)
+        trace = small_pool_trace()
+        est = clsda(trace)
+        history, eq = est.objective_history, NormalEquations.from_trace(trace)
+        assert est.converged
+        assert len(steps) == len(history)
+        rises = [eq.residual(q) - history[i] for i, q in enumerate(steps) if q is not None]
+        cut = [rise for rise in rises if rise > 1e-9 * (1.0 + history[0])]
+        assert 0 < len(cut) < len(rises)
+        assert_non_increasing(history)
+
     def test_reaches_plain_projected_gradient_fixed_point(self):
         trace = small_pool_trace()
         reference, _ = plain_projected_gradient(trace, tol=1e-13)
@@ -327,6 +373,22 @@ class TestClsda:
         with pytest.raises(InvalidParameterError, match="finite and positive"):
             SolverOptions(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, None, "10"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # each of these used to pass or end in a raw TypeError
+        with pytest.raises(InvalidParameterError, match="max_iter must be an integer"):
+            SolverOptions(max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", ["1e-9", None, True])
+    def test_tol_must_be_a_real_number(self, tol):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            SolverOptions(tol=tol)
+
+    def test_numpy_integer_and_integer_tol_accepted(self):
+        _, trace = random_trace(n_users=10, t=5, rho=200, seed=4)
+        est = clsda(trace, SolverOptions(max_iter=np.int64(3), tol=1))
+        assert est.iterations <= 3
+
 
 class TestProjectSimplex:
     def test_feasible_point_unchanged(self):
@@ -404,6 +466,53 @@ class TestProjectionProperties:
         r = v - p
         gap = r - np.sum(r * p, axis=1, keepdims=True)  # <v - p, e_j - p> for every j
         assert np.all(gap <= rounding_tol(v) * (1.0 + np.abs(v).max()))
+
+
+#: values of tied entries: any in [-2, 2], signed zeros and two that do not round evenly
+TIE_VALUES = st.floats(-2.0, 2.0, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 0.1, 1 / 3])
+
+
+@st.composite
+def wide_rows(draw, n):
+    """A row of ``n`` entries: ties, all equal (support ``n``), near ``1/n`` (a support
+    past the prefix) or ``j`` entries at ``c + 1/j`` over ``c`` (a threshold tied at ``c``)."""
+    kind = draw(st.sampled_from(["ties", "equal", "near-uniform", "tied-threshold"]))
+    if kind == "ties":
+        pool = draw(st.lists(TIE_VALUES, min_size=1, max_size=4))
+        return draw(hnp.arrays(float, n, elements=st.sampled_from(pool)))
+    c = draw(TIE_VALUES)
+    if kind == "equal":
+        return np.full(n, c)
+    if kind == "near-uniform":
+        return draw(hnp.arrays(float, n, elements=st.floats(0.0, 2.0))) / n
+    j = draw(st.integers(1, n))
+    return np.array(draw(st.permutations([c + 1.0 / j] * j + [c] * (n - j))))
+
+
+@st.composite
+def wide_matrices(draw):
+    """Up to four rows of one column, of at most the prefix or of more columns than it."""
+    n = draw(st.just(1) | st.integers(2, PROJECT_PREFIX)
+             | st.integers(PROJECT_PREFIX + 1, 4 * PROJECT_PREFIX + 1))
+    return np.array([draw(wide_rows(n)) for _ in range(draw(st.integers(1, 4)))])
+
+
+class TestPrefixProjection:
+    @PROJECTION
+    @given(v=wide_matrices())
+    def test_matches_the_full_width_scan_bit_for_bit(self, v):
+        assert _project_rows(v).tobytes() == project_rows_full_width(v).tobytes()
+
+    @pytest.mark.parametrize("n", [1, PROJECT_PREFIX - 1, PROJECT_PREFIX, PROJECT_PREFIX + 1,
+                                   2 * PROJECT_PREFIX, 2 * PROJECT_PREFIX + 1, 300])
+    def test_support_past_the_prefix(self, n):
+        # equal entries keep every column; the scan widens until it reaches them all
+        v = np.full((2, n), 0.5)
+        v[1, 0] = 0.5 + 1.0  # the second row projects onto its first vertex
+        p = _project_rows(v)
+        assert p.tobytes() == project_rows_full_width(v).tobytes()
+        assert np.count_nonzero(p[0]) == n
+        np.testing.assert_array_equal(p[1], np.eye(n)[0])
 
 
 class TestRls:
