@@ -70,7 +70,8 @@ class MixConfig:
             raise InvalidParameterError("initial pool size m must be >= 0")
         if self.pool_prior is not None:
             prior = np.asarray(self.pool_prior, dtype=float)
-            if np.any(prior < 0) or abs(float(prior.sum()) - 1.0) > SUM_TOL:
+            # a NaN fails both tests
+            if not (np.all(prior >= 0) and abs(float(prior.sum()) - 1.0) <= SUM_TOL):
                 raise InvalidParameterError("pool_prior must be a probability vector")
             object.__setattr__(self, "pool_prior", prior)
 

@@ -53,7 +53,8 @@ class UserPopulation:
             )
         if self.frequencies.shape != (self.n_senders,):
             raise InvalidParameterError("frequencies length does not match n_senders")
-        if np.any(self.profiles < 0) or np.any(self.profiles > 1):
+        # a NaN fails every comparison, so the range tests are written to refuse it
+        if not np.all((self.profiles >= 0) & (self.profiles <= 1)):
             raise InvalidParameterError("profile entries must lie in [0, 1]")
         row_sums = self.profiles.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > SUM_TOL):
@@ -61,9 +62,9 @@ class UserPopulation:
             raise InvalidParameterError(
                 f"profile row {worst} sums to {row_sums[worst]!r}, expected 1"
             )
-        if np.any(self.frequencies < 0) or np.any(self.frequencies > 1):
+        if not np.all((self.frequencies >= 0) & (self.frequencies <= 1)):
             raise InvalidParameterError("frequencies must lie in [0, 1]")
-        if abs(float(self.frequencies.sum()) - 1.0) > SUM_TOL:
+        if not abs(float(self.frequencies.sum()) - 1.0) <= SUM_TOL:
             raise InvalidParameterError("frequencies must sum to 1")
 
 
@@ -144,27 +145,29 @@ def uniformity_stats(pop: UserPopulation) -> UniformityStats:
 
 
 def save_population(pop: UserPopulation, path) -> None:
-    """Write a population file (JSON, sparse per-row profile encoding)."""
-    rows = []
-    for i in range(pop.n_senders):
-        (nz,) = np.nonzero(pop.profiles[i])
-        rows.append(
-            {
-                "user": i,
-                "contacts": [
-                    {"receiver": int(j), "prob": float(pop.profiles[i, j])} for j in nz
-                ],
-            }
+    """Write a population file (JSON, sparse per-row profile encoding).
+
+    The text is what ``json.dump(doc, fh, indent=1)`` writes, plus a newline,
+    but formatted here: json's indenting encoder is pure Python.  Numbers take
+    the forms json gives them, ``int`` and ``float`` reprs; a validated
+    population holds only finite floats.
+    """
+    users = []
+    for i, row in enumerate(pop.profiles):
+        (nz,) = np.nonzero(row)
+        contacts = ",\n".join(
+            f'    {{\n     "receiver": {j},\n     "prob": {prob!r}\n    }}'
+            for j, prob in zip(nz.tolist(), row[nz].tolist())
         )
-    doc = {
-        "n_senders": pop.n_senders,
-        "n_receivers": pop.n_receivers,
-        "frequencies": [float(f) for f in pop.frequencies],
-        "profiles": rows,
-    }
+        users.append(f'  {{\n   "user": {i},\n   "contacts": [\n{contacts}\n   ]\n  }}')
+    frequencies = ",\n  ".join(map(repr, pop.frequencies.tolist()))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(
+            f'{{\n "n_senders": {int(pop.n_senders)},\n "n_receivers": {int(pop.n_receivers)},\n'
+            f' "frequencies": [\n  {frequencies}\n ],\n "profiles": [\n'
+        )
+        fh.write(",\n".join(users))
+        fh.write("\n ]\n}\n")
 
 
 def load_population(path) -> UserPopulation:

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -51,12 +51,14 @@ def project_simplex_oracle(v, tol=1e-12):
 
 def project_rows_reference(mat):
     """The sort-and-negate formula of the row projection, which ``_project_rows``
-    must match bit for bit."""
+    must match bit for bit: the support is the leading run of sorted entries
+    above their running threshold."""
     n = mat.shape[1]
     u = -np.sort(-mat, axis=1)
     css = np.cumsum(u, axis=1)
     k = np.arange(1, n + 1)
-    n_pos = np.count_nonzero(u - (css - 1.0) / k > 0, axis=1)
+    above = u - (css - 1.0) / k > 0
+    n_pos = np.where(above.all(axis=1), n, above.argmin(axis=1))
     theta = (css[np.arange(mat.shape[0]), n_pos - 1] - 1.0) / n_pos
     return np.maximum(mat - theta[:, None], 0.0)
 
@@ -416,6 +418,12 @@ class TestProjectSimplex:
             project_simplex([np.nan, 0.5])
 
 
+def tied_threshold_rows(c, j, n):
+    """``[c + 1/j] * j + [c] * (n - j)``, a row whose threshold ties at ``c``, and its reverse."""
+    row = [c + 1.0 / j] * j + [c] * (n - j)
+    return np.array([row, row[::-1]])
+
+
 #: rows of up to 9 entries in [-1e3, 1e3]
 MATRICES = hnp.arrays(
     float,
@@ -440,6 +448,9 @@ class TestProjectionProperties:
 
     @PROJECTION
     @given(v=MATRICES)
+    @example(v=tied_threshold_rows(2 / 7, 6, 264))
+    @example(v=tied_threshold_rows(2 / 7, 3, 9))
+    @example(v=tied_threshold_rows(0.3, 4, 7))
     def test_matches_the_sort_and_negate_formula_bit_for_bit(self, v):
         assert _project_rows(v).tobytes() == project_rows_reference(v).tobytes()
 
@@ -590,15 +601,15 @@ class TestSda:
 
 
 def departure_calls(monkeypatch):
-    """The traces given to the estimators' ``expected_departures``, in call order."""
+    """The traces given to the estimators' ``departure_blocks``, in call order."""
     seen = []
-    build = estimators.expected_departures
+    build = estimators.departure_blocks
 
-    def record(trace):
+    def record(trace, rows):
         seen.append(trace)
-        return build(trace)
+        return build(trace, rows)
 
-    monkeypatch.setattr(estimators, "expected_departures", record)
+    monkeypatch.setattr(estimators, "departure_blocks", record)
     return seen
 
 

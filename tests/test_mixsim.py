@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             MixConfig(kind="binomial_pool", t=3, alpha=0.5, m=2, pool_prior=[0.4, 0.4])
 
+    @pytest.mark.parametrize("prior", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_prior(self, prior):
+        with pytest.raises(InvalidParameterError, match="pool_prior"):
+            MixConfig(kind="binomial_pool", t=3, alpha=0.5, m=10, pool_prior=prior)
+
 
 class TestThresholdSimulation:
     def test_degenerate_frequency_fills_one_column(self):

@@ -1,12 +1,15 @@
 """Property tests of the normal-equations accumulator the least-squares attacks share."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mixprofile import NormalEquations, lsda, rls
+from mixprofile import InvalidParameterError, NormalEquations, expected_departures, lsda, rls
 from mixprofile import estimators
+from mixprofile.observe import BLOCK
 
 from conftest import make_trace, random_trace
 
@@ -33,7 +36,7 @@ def traces(draw, kinds=("threshold", "binomial_pool")):
 
 def accumulate(trace, cuts):
     """The accumulator fed the trace's design rows split at ``cuts``."""
-    a = estimators.expected_departures(trace).U_hat
+    a = expected_departures(trace).U_hat
     eq = NormalEquations(trace.n_senders, trace.n_receivers)
     bounds = [0, *sorted(set(cuts)), trace.rho]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -94,7 +97,7 @@ def test_residual_matches_full_height_form():
     _, trace = random_trace(n_users=8, t=4, rho=200, seed=3, kind="binomial_pool", alpha=0.5)
     eq = NormalEquations.from_trace(trace)
     p = eq.solve()
-    a = estimators.expected_departures(trace).U_hat
+    a = expected_departures(trace).U_hat
     direct = float(np.sum((trace.Y - a @ p) ** 2))
     assert eq.residual(p) == pytest.approx(direct, rel=1e-9)
     assert lsda(trace).residual == eq.residual(p)
@@ -114,3 +117,78 @@ def test_single_row_is_a_block_of_height_one():
     for r in range(trace.rho):
         eq.update(trace.U[r], trace.Y[r])
     np.testing.assert_array_equal(eq.gram, NormalEquations.from_trace(trace).gram)
+
+
+@pytest.mark.parametrize("a_rows, y_rows", [
+    (np.ones((5, 3)), np.ones((4, 4))),  # the parts differ in rows
+    (np.ones((4, 2)), np.ones((4, 4))),  # design rows of the wrong width
+    (np.ones((4, 3)), np.ones((4, 5))),  # Y rows of the wrong width
+])
+def test_a_block_that_does_not_fit_changes_nothing(a_rows, y_rows):
+    eq = NormalEquations(3, 4)
+    eq.update(np.ones((2, 3)), np.full((2, 4), 2.0))
+    before = (eq.gram.copy(), eq.cross.copy(), eq.y_sq, eq.rounds)
+    with pytest.raises(InvalidParameterError, match="does not fit"):
+        eq.update(a_rows, y_rows)
+    np.testing.assert_array_equal(eq.gram, before[0])
+    np.testing.assert_array_equal(eq.cross, before[1])
+    assert (eq.y_sq, eq.rounds) == before[2:]
+
+
+@pytest.mark.parametrize("block", [-3, 0, 2.5, True, "4"])
+def test_from_trace_refuses_a_bad_block(block):
+    _, trace = random_trace(n_users=4, t=3, rho=30, seed=1)
+    with pytest.raises(InvalidParameterError, match="block must be an integer >= 1"):
+        NormalEquations.from_trace(trace, block=block)
+
+
+def test_from_trace_block_defaults_to_the_rls_block(monkeypatch):
+    _, trace = random_trace(n_users=4, t=3, rho=30, seed=1, kind="binomial_pool", alpha=0.5)
+    monkeypatch.setattr(estimators, "RLS_BLOCK", 7)
+    np.testing.assert_array_equal(NormalEquations.from_trace(trace).gram,
+                                  NormalEquations.from_trace(trace, block=np.int64(7)).gram)
+
+
+def whole_trace_statistics(trace):
+    """The statistics of the trace added as one block of ``U_hat`` and ``Y``."""
+    eq = NormalEquations(trace.n_senders, trace.n_receivers)
+    eq.update(expected_departures(trace).U_hat, trace.Y)
+    return eq
+
+
+#: rounds per streamed block: any from 1 to past the default of 1,024, and the sizes
+#: around the recursion's sub-blocks
+STREAM_BLOCKS = st.integers(1, 1100) | st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 1024])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(block=STREAM_BLOCKS, kind=st.sampled_from(["threshold", "binomial_pool"]), data=st.data())
+def test_streamed_statistics_match_one_whole_block(block, kind, data):
+    # at least two blocks, so a pool trace carries a row across each boundary
+    rho = data.draw(st.integers(block + 1, min(max(3 * block, 200), 2500)))
+    pool = kind == "binomial_pool"
+    _, trace = random_trace(n_users=5, t=4, rho=rho, seed=data.draw(st.integers(0, 10_000)),
+                            kind=kind, alpha=0.3 if pool else 1.0, m=7 if pool else 0)
+    streamed, whole = NormalEquations.from_trace(trace, block=block), whole_trace_statistics(trace)
+    assert streamed.rounds == whole.rounds == rho
+    assert streamed.y_sq == whole.y_sq
+    if pool:
+        # every term is non-negative, so each entry is within rounding of its sum
+        np.testing.assert_allclose(streamed.gram, whole.gram, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(streamed.cross, whole.cross, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_array_equal(streamed.gram, whole.gram)
+        np.testing.assert_array_equal(streamed.cross, whole.cross)
+
+
+def test_streamed_build_holds_no_float_copy_of_the_trace():
+    _, trace = random_trace(n_users=100, t=10, rho=20_000, seed=5, kind="binomial_pool",
+                            alpha=0.5, m=10)
+    float_copy = trace.U.size * 8  # 16 MB
+    tracemalloc.start()
+    try:
+        NormalEquations.from_trace(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float_copy / 4

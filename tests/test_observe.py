@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixprofile import InvalidParameterError, expected_departures
-from mixprofile.observe import BLOCK
+from mixprofile.observe import BLOCK, departure_blocks
 
 from conftest import make_trace
 
@@ -125,3 +125,33 @@ class TestBlockedRecursion:
         counts = rng.multinomial(6, np.full(5, 0.2), size=rho)
         trace = pool_trace_from_counts(counts, alpha=1.0)
         np.testing.assert_array_equal(expected_departures(trace).U_hat, trace.U)
+
+
+class TestDepartureBlocks:
+    """``departure_blocks`` streams ``U_hat``; glued back together its blocks are the
+    whole-trace ``U_hat``, bit for bit when their size is a multiple of ``BLOCK``."""
+
+    @pytest.mark.parametrize("rows", [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 100])
+    @pytest.mark.parametrize("kind, alpha, m", [("threshold", 1.0, 0),
+                                                ("binomial_pool", 0.3, 9),
+                                                ("binomial_pool", 0.8, 0)])
+    def test_blocks_glue_into_the_whole(self, rows, kind, alpha, m):
+        rng = np.random.default_rng(rows)
+        counts = rng.multinomial(6, np.full(5, 0.2), size=3 * BLOCK + 5)
+        prior = rng.dirichlet(np.ones(5)) if m else None
+        if kind == "threshold":
+            trace = make_trace(counts, counts)
+        else:
+            trace = pool_trace_from_counts(counts, alpha=alpha, m=m, pool_prior=prior)
+        blocks = list(departure_blocks(trace, rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        glued, whole = np.concatenate(blocks), expected_departures(trace).U_hat
+        if rows % BLOCK == 0 or alpha == 1.0:
+            np.testing.assert_array_equal(glued, whole)
+        else:
+            np.testing.assert_allclose(glued, whole, rtol=1e-13, atol=0)
+
+    def test_missing_prior_raises_before_the_first_block(self):
+        trace = pool_trace_from_counts([[1, 1]], alpha=0.5, m=3, pool_prior=None)
+        with pytest.raises(InvalidParameterError):
+            next(departure_blocks(trace, 1))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixprofile import (
     InvalidParameterError,
@@ -116,6 +118,17 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             UserPopulation(2, 2, profiles, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_profile_entries(self, bad):
+        # a NaN row used to pass: every comparison with NaN is false
+        with pytest.raises(InvalidParameterError, match="profile entries"):
+            UserPopulation(1, 2, [[bad, bad]], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_frequencies(self, bad):
+        with pytest.raises(InvalidParameterError, match="frequencies"):
+            UserPopulation(2, 1, [[1.0], [1.0]], [bad, 0.0])
+
     def test_rectangular_population_allowed(self):
         profiles = np.array([[0.25, 0.25, 0.25, 0.25]])
         pop = UserPopulation(1, 4, profiles, np.array([1.0]))
@@ -182,6 +195,15 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError, match="malformed population document: cannot allocate"):
             load_population(path)
 
+    def test_nan_in_a_file_rejected(self, tmp_path):
+        # json reads the token NaN as a float
+        path = tmp_path / "pop.json"
+        path.write_text('{"n_senders": 1, "n_receivers": 2, "frequencies": [1.0], "profiles": '
+                        '[{"user": 0, "contacts": [{"receiver": 0, "prob": NaN}, '
+                        '{"receiver": 1, "prob": NaN}]}]}')
+        with pytest.raises(InvalidParameterError, match="profile entries"):
+            load_population(path)
+
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "pop.json"
         path.write_text('{\n "n_senders": 2,\n "n_receivers": 2 oops\n}\n')
@@ -189,3 +211,59 @@ class TestFileRoundTrip:
             load_population(path)
         assert info.value.line_no == 3
 
+
+
+#: probabilities whose reprs stress the writer: the smallest and largest subnormals,
+#: the smallest normal, 17 significant digits, 1.0 and an exact binary fraction
+SPECIAL_PROBS = st.sampled_from([5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                                 0.10000000000000002, 1 / 3, 1.0, 0.5])
+
+
+def normalised(values):
+    """``values`` scaled to sum to 1, or a single 1.0 where they are all 0."""
+    v = np.asarray(values, dtype=float)
+    total = v.sum()
+    return v / total if total > 0 else np.eye(v.size)[0]
+
+
+@st.composite
+def populations(draw):
+    """A population whose rows mix normalised draws with tiny and special entries."""
+    n_s, n_r = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    probs = st.floats(0.0, 1.0) | SPECIAL_PROBS
+
+    def vector(n):
+        v = normalised(draw(st.lists(probs, min_size=n, max_size=n)))
+        # a subnormal on top of a probability vector leaves its sum alone
+        v[v == 0.0] = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
+        return v
+
+    profiles = np.array([vector(n_r) for _ in range(n_s)])
+    return UserPopulation(n_s, n_r, profiles, vector(n_s))
+
+
+def json_document(pop):
+    """The population file's document, for the json module to write."""
+    rows = [{"user": i, "contacts": [{"receiver": j, "prob": row[j]}
+                                     for j in np.nonzero(row)[0].tolist()]}
+            for i, row in enumerate(pop.profiles.tolist())]
+    return {"n_senders": pop.n_senders, "n_receivers": pop.n_receivers,
+            "frequencies": pop.frequencies.tolist(), "profiles": rows}
+
+
+class TestWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(pop=populations())
+    def test_writes_what_json_writes(self, pop, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pop") / "pop.json"
+        save_population(pop, path)
+        assert path.read_bytes() == (json.dumps(json_document(pop), indent=1) + "\n").encode()
+        loaded = load_population(path)
+        np.testing.assert_array_equal(loaded.profiles, pop.profiles)
+        np.testing.assert_array_equal(loaded.frequencies, pop.frequencies)
+
+    def test_generated_population(self, tmp_path):
+        pop = gen_population(40, 7, "zipf", "zipf", seed=2)
+        path = tmp_path / "pop.json"
+        save_population(pop, path)
+        assert path.read_text() == json.dumps(json_document(pop), indent=1) + "\n"
