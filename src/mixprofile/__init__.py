@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     EmptyLogError,
@@ -26,7 +26,6 @@ from .estimators import (
     clsda,
     load_estimate,
     lsda,
-    project_simplex,
     rls,
     save_estimate,
     sda,

@@ -12,22 +12,14 @@ sender profile onto the probability simplex.
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    InvalidScenarioError,
-    ParseError,
-    SingularSystemError,
-    SolverDivergedError,
-    _decode_utf8,
-    _open_utf8,
-)
-from .mixsim import Trace, _read_blocks
+from .errors import (InvalidParameterError, InvalidScenarioError, ParseError, SingularSystemError,
+                     SolverDivergedError, _decode_utf8, _open_utf8, check, choice, integer, real)
+from .mixsim import Trace, _header_fields, _read_blocks
 from .observe import departure_blocks
 from .observe import expected_departures  # noqa: F401  bench/tracing.py wraps it under this module
 
@@ -75,25 +67,17 @@ class SolverOptions:
     The solver converges once a projected step's relative Frobenius length,
     ``|Q - P_k| / |P_k|``, is at most ``tol``; a conjugate-gradient run on a
     face ends at the same change.  ``max_iter`` caps the steps of both kinds,
-    one Gram product each.  A ``max_iter`` that is not an integer, or a ``tol``
-    that is not a real number, raises :class:`InvalidParameterError`, as does a
-    bool for either.
+    one Gram product each.  A ``max_iter`` that is not an integer >= 0, or a
+    ``tol`` that is not a finite positive number, raises
+    :class:`InvalidParameterError`, as does a bool for either.
     """
 
     max_iter: int = 5000
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not _is_number(self.max_iter, numbers.Integral) or self.max_iter < 0:
-            raise InvalidParameterError(f"max_iter must be an integer >= 0, not {self.max_iter!r}")
-        # a NaN fails both comparisons
-        if not _is_number(self.tol, numbers.Real) or not 0.0 < self.tol < np.inf:
-            raise InvalidParameterError(f"tol must be finite and positive, not {self.tol!r}")
-
-
-def _is_number(value, kind) -> bool:
-    """``value`` is an instance of the ``numbers`` ABC ``kind`` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+        check("max_iter", self.max_iter, integer(0))
+        check("tol", self.tol, real(0, np.inf, "()", "finite and positive"))
 
 
 def _checked_gram(gram: np.ndarray, ridge: bool) -> np.ndarray:
@@ -140,20 +124,15 @@ class NormalEquations:
         self.rounds = 0
 
     @classmethod
-    def from_trace(cls, trace: Trace, block: int | None = None) -> NormalEquations:
-        """Accumulate a whole trace ``block`` rounds at a time (``None``: :data:`RLS_BLOCK`).
+    def from_trace(cls, trace: Trace) -> NormalEquations:
+        """Accumulate a whole trace :data:`RLS_BLOCK` rounds at a time.
 
         Each block of :func:`~mixprofile.observe.departure_blocks` is added with
-        the same rows of ``Y``.  Threshold sums are exact, so any ``block``
+        the same rows of ``Y``.  Threshold sums are exact, so any block size
         gives the same statistics bit for bit; pool sums move in their last
-        bits, within 1e-12 relative of a whole-trace build.  A ``block`` that is
-        not an integer, is a bool or is below 1 raises
-        :class:`InvalidParameterError`.
+        bits, within 1e-12 relative of a whole-trace build.
         """
-        if block is None:
-            block = RLS_BLOCK
-        elif not _is_number(block, numbers.Integral) or block < 1:
-            raise InvalidParameterError(f"block must be an integer >= 1, not {block!r}")
+        block = RLS_BLOCK
         eq = cls(trace.n_senders, trace.n_receivers)
         for start, a in zip(range(0, trace.rho, block), departure_blocks(trace, block)):
             eq.update(a, trace.Y[start : start + block])
@@ -256,19 +235,6 @@ def _face_tangent(x: np.ndarray, face: np.ndarray) -> np.ndarray:
     x = x * face
     x -= face * (x.sum(axis=1, keepdims=True) / face.sum(axis=1, keepdims=True))
     return x
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex.
-
-    Sort-and-threshold method; exact in O(n log n).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidParameterError("expected a non-empty vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameterError("entries must be finite")
-    return _project_rows(v[None, :])[0]
 
 
 def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
@@ -408,8 +374,7 @@ def sda(trace: Trace, t: int, n_users: int) -> np.ndarray:
     ``mean_r(y_j) - (t - 1)/n_users`` per receiver ``j``.  Entries may be
     negative.
     """
-    if n_users < 1:
-        raise InvalidParameterError("n_users must be >= 1")
+    check("n_users", n_users, integer(1))
     x_first = trace.U[:, 0]
     bad = np.nonzero(x_first != 1)[0]
     if bad.size:
@@ -473,22 +438,23 @@ def _parse_rows(lines: list, r0: int, shape: tuple) -> np.ndarray:
 def load_estimate(path) -> ProfileEstimate:
     """Read an estimate file written by :func:`save_estimate`.
 
-    A bad header raises :class:`ParseError` at line 1.  The rows are parsed by
+    A bad header, including a ``method`` not in :data:`METHODS`, raises
+    :class:`ParseError` at line 1.  The rows are parsed by
     :func:`~mixprofile.mixsim._read_blocks`, so a bad row names its line; too
     few rows raise without one.
     """
     with _open_utf8(path) as fh:
-        if not (head := _decode_utf8(fh.readline())).startswith("# estimate "):
-            raise ParseError("missing estimate header", line_no=1)
-        header = dict(tok.partition("=")[::2] for tok in head[len("# estimate ") :].split())
+        header = _header_fields(_decode_utf8(fh.readline()), "estimate")
         try:
             method, converged = header["method"], header["converged"] == "True"
             iterations, residual = int(header["iterations"]), float(header["residual"])
             shape = (int(header["n_senders"]), int(header["n_receivers"]))
-            if header["converged"] not in ("True", "False"):
-                raise ValueError(f"converged={header['converged']} is neither True nor False")
-            if iterations < 0 or residual < 0 or min(shape) < 1:  # a nan residual passes
-                raise ValueError("iterations and residual must be >= 0, and sizes >= 1")
+            check("method", method, choice(METHODS))
+            check("converged", header["converged"], choice(("True", "False")))
+            check("iterations", iterations, integer(0))
+            check("n_senders", shape[0], integer(1))
+            check("n_receivers", shape[1], integer(1))
+            check("residual", residual, (lambda v: not v < 0, "nan or a number >= 0"))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad header: {exc}", line_no=1) from exc
         blocks = _read_blocks(fh, lambda lines, r0: _parse_rows(lines, r0, shape), 2)

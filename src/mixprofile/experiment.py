@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import re
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -20,16 +19,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import (
-    InvalidParameterError,
-    InvalidScenarioError,
-    MixProfileError,
-    ParseError,
-    SingularSystemError,
-    SolverDivergedError,
-    _decode_utf8,
-    _open_utf8,
-)
+from .errors import (InvalidParameterError, InvalidScenarioError, MixProfileError, ParseError,
+                     SingularSystemError, SolverDivergedError, _decode_utf8, _open_utf8, check,
+                     choice, integer, real)
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
 from .metrics import aggregate_repetitions, profile_mse_vector
 from .mixsim import BINOMIAL_POOL, THRESHOLD, MIX_KINDS, MixConfig, simulate_trace
@@ -40,21 +32,14 @@ SWEEPABLE = ("rho", "n_users", "n_friends", "t", "alpha", "freq_dist")
 _SWEEP_ALIASES = {"N": "n_users"}
 
 
-def _integer(least: int) -> tuple:
-    """The rule of an integer field of at least ``least``."""
-    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least,
-            f"an integer >= {least}")
-
-
-#: spec field -> (test of a value, what the value must be); booleans are not numbers here
+#: spec field -> its rule, as :func:`~mixprofile.errors.check` takes it
 _FIELD_RULES = {
-    **dict.fromkeys(("n_users", "n_friends", "t", "rho", "repetitions"), _integer(1)),
-    **dict.fromkeys(("m", "master_seed"), _integer(0)),
-    "alpha": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v <= 1,
-              "a number in (0, 1]"),
-    "profile_dist": (lambda v: v in PROFILE_DISTS, f"one of {PROFILE_DISTS}"),
-    "freq_dist": (lambda v: v in FREQ_DISTS, f"one of {FREQ_DISTS}"),
-    "mix_kind": (lambda v: v in MIX_KINDS, f"one of {MIX_KINDS}"),
+    **dict.fromkeys(("n_users", "n_friends", "t", "rho", "repetitions"), integer(1)),
+    **dict.fromkeys(("m", "master_seed"), integer(0)),
+    "alpha": real(0, 1, "(]"),
+    "profile_dist": choice(PROFILE_DISTS),
+    "freq_dist": choice(FREQ_DISTS),
+    "mix_kind": choice(MIX_KINDS),
     "sweep_param": (lambda v: v in (None, *SWEEPABLE, *_SWEEP_ALIASES),
                     f"null or one of {SWEEPABLE}"),
     "sweep_values": (lambda v: isinstance(v, (list, tuple)), "a list"),
@@ -73,9 +58,10 @@ class _FieldError(InvalidParameterError):
 
 
 def _check_field(name: str, value, key: str | None = None) -> None:
-    test, what = _FIELD_RULES[name]
-    if not test(value):
-        raise _FieldError(f"{name} must be {what}, got {value!r}", key or name)
+    try:
+        check(name, value, _FIELD_RULES[name])
+    except InvalidParameterError as exc:
+        raise _FieldError(str(exc), key or name) from None
 
 
 @dataclass(frozen=True)

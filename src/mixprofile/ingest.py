@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLogError, EmptyTraceError, InvalidParameterError, _open_utf8
+from .errors import EmptyLogError, EmptyTraceError, _open_utf8, check, integer
 from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs, _read_blocks
 from .population import UserPopulation
 
@@ -103,10 +103,8 @@ def build_rounds(
     receiver and ``f_i`` is each sender's share of all batched messages, so
     the returned population describes exactly the traffic inside the trace.
     """
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
-    if min_sender_messages < 0:
-        raise InvalidParameterError("min_sender_messages must be >= 0")
+    check("t", t, integer(1))
+    check("min_sender_messages", min_sender_messages, integer(0))
 
     counts = np.bincount(events.senders, minlength=len(events.sender_names))
     keep = counts[events.senders] >= min_sender_messages

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, UnsupportedQueryError, _decode_utf8, _open_utf8
+from .errors import (InvalidParameterError, ParseError, UnsupportedQueryError, _decode_utf8,
+                     _open_utf8, check, choice, integer, probabilities, real)
 from .population import SUM_TOL, UserPopulation
 
 THRESHOLD = "threshold"
@@ -42,10 +43,10 @@ class MixConfig:
     """Mix parameters.
 
     ``kind`` selects the mixing discipline.  For a threshold mix ``alpha``
-    and ``m`` must be 1 and 0 and ``pool_prior`` must be None; other values
-    raise :class:`InvalidParameterError`.  ``pool_prior`` gives the probability
-    that each of the ``m`` initial pool messages belongs to a given sender;
-    it must sum to 1 whenever ``m > 0``.
+    and ``m`` must be 1 and 0 and ``pool_prior`` must be None.  ``pool_prior``
+    gives the probability that each of the ``m`` initial pool messages
+    belongs to a given sender.  A value outside its rule in the README's
+    table raises :class:`InvalidParameterError`.
     """
 
     kind: str = THRESHOLD
@@ -55,25 +56,17 @@ class MixConfig:
     pool_prior: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in MIX_KINDS:
-            raise InvalidParameterError(f"unknown mix kind {self.kind!r}")
-        if self.t < 1:
-            raise InvalidParameterError("threshold t must be >= 1")
+        check("kind", self.kind, choice(MIX_KINDS))
+        check("t", self.t, integer(1))
+        check("alpha", self.alpha, real(0, 1, "(]"))
+        check("m", self.m, integer(0))
         if self.kind == THRESHOLD:
             if self.alpha != 1 or self.m != 0 or self.pool_prior is not None:
                 raise InvalidParameterError("a threshold mix needs alpha=1, m=0 and no pool_prior; "
                                             f"got alpha={self.alpha!r}, m={self.m!r}")
-            return
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidParameterError("firing probability alpha must lie in (0, 1]")
-        if self.m < 0:
-            raise InvalidParameterError("initial pool size m must be >= 0")
-        if self.pool_prior is not None:
-            prior = np.asarray(self.pool_prior, dtype=float)
-            # a NaN fails both tests
-            if not (np.all(prior >= 0) and abs(float(prior.sum()) - 1.0) <= SUM_TOL):
-                raise InvalidParameterError("pool_prior must be a probability vector")
-            object.__setattr__(self, "pool_prior", prior)
+        elif self.pool_prior is not None:
+            object.__setattr__(self, "pool_prior", np.asarray(self.pool_prior, dtype=float))
+            check("pool_prior", self.pool_prior, probabilities(SUM_TOL))
 
     def check_prior(self, n_senders: int) -> None:
         """Raise unless an initial pool (``m > 0``) has a ``pool_prior`` over ``n_senders``."""
@@ -105,7 +98,8 @@ class Trace:
 
     ``U[r, i]`` counts messages sent by user ``i`` in round ``r`` and
     ``Y[r, j]`` counts messages delivered to user ``j`` in round ``r``.
-    Float counts must be whole numbers; a fractional or non-finite one raises
+    Counts are integer or float arrays of whole numbers below ``2**63``; other
+    dtypes (bool, string, object) and other counts raise
     :class:`InvalidParameterError`.  Integer arrays are stored without a copy
     and made read-only, so writing into ``U`` or ``Y`` (or into the arrays
     passed in) raises ``ValueError``.  A trace compares and hashes by
@@ -122,9 +116,13 @@ class Trace:
     def __post_init__(self):
         for name in ("U", "Y"):
             counts = np.asarray(getattr(self, name))
-            if counts.dtype.kind == "f" and not (np.isfinite(counts).all()
-                                                 and (counts == np.trunc(counts)).all()):
-                raise InvalidParameterError(f"{name} counts must be whole numbers")
+            if counts.dtype.kind not in "iuf":
+                raise InvalidParameterError(f"{name} counts must be integers or floats, "
+                                            f"not dtype {counts.dtype}")
+            # a NaN fails both tests, an infinity the second
+            if counts.dtype.kind != "i" and not np.all((counts == np.trunc(counts))
+                                                       & (abs(counts) < 2**63)):
+                raise InvalidParameterError(f"{name} counts must be whole numbers below 2**63")
             counts = counts.astype(np.int64, copy=False)
             counts.flags.writeable = False
             object.__setattr__(self, name, counts)
@@ -150,8 +148,7 @@ class Trace:
     def validate(self):
         if self.U.ndim != 2 or self.Y.ndim != 2 or self.U.shape[0] != self.Y.shape[0]:
             raise InvalidParameterError("U and Y must be matrices with one row per round")
-        if self.U.shape[0] < 1:
-            raise InvalidParameterError("a trace needs at least one round")
+        check("rho", self.rho, integer(1))
         if self.U.min(initial=0) < 0 or self.Y.min(initial=0) < 0:
             raise InvalidParameterError("counts must be non-negative")
         for bad, message in _count_rules(self.U, self.Y, self.config):
@@ -215,10 +212,8 @@ def simulate_trace(
     a pool mix with ``alpha=1, m=0`` reproduces the threshold mix output
     exactly (the delays live on their own substream).
     """
-    if rho < 1:
-        raise InvalidParameterError("rho must be >= 1")
-    if seed < 0:
-        raise InvalidParameterError("seed must be >= 0")
+    check("rho", rho, integer(1))
+    check("seed", seed, integer(0))
     config.check_prior(pop.n_senders)
     m, t = config.m, config.t
     # message order: the initial pool, then round by round in draw order
@@ -329,28 +324,42 @@ def save_trace(trace: Trace, path) -> None:
             fh.writelines(f"{r} in {u} out {y}\n" for r, (u, y) in enumerate(pairs, start))
 
 
+def _header_fields(line: str, tag: str) -> dict:
+    """The fields of a file's first line, ``# <tag> key=value ...``; a line without the tag,
+    a token with no ``=`` and a repeated key raise :class:`ParseError` at line 1."""
+    if not line.startswith(f"# {tag} "):
+        raise ParseError(f"missing {tag} header", line_no=1)
+    fields = {}
+    for token in line[len(tag) + 3 :].split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ParseError(f"bad header: {token!r} is not key=value", line_no=1)
+        if key in fields:
+            raise ParseError(f"bad header: {key} is given twice", line_no=1)
+        fields[key] = value
+    return fields
+
+
 def _read_header(head: list) -> tuple:
     """``(rho, n_senders, n_receivers, config, seed, header line count)`` of a trace file."""
-    if not head or not head[0].startswith("# mixtrace "):
-        raise ParseError("missing mixtrace header", line_no=1)
-    header = dict(token.partition("=")[::2] for token in head[0][len("# mixtrace ") :].split())
+    header = _header_fields(head[0] if head else "", "mixtrace")
     try:
-        sizes = [int(header[key]) for key in ("rho", "n_senders", "n_receivers")]
+        sizes = {key: int(header[key]) for key in ("rho", "n_senders", "n_receivers")}
+        for key, size in sizes.items():
+            check(key, size, integer(1))
         config = MixConfig(
             kind=header["kind"], t=int(header["t"]), alpha=float(header["alpha"]), m=int(header["m"])
         )
         seed = int(header["seed"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {exc}", line_no=1) from exc
-    if min(sizes) < 1:
-        raise ParseError("rho, n_senders and n_receivers must be >= 1", line_no=1)
     if len(head) < 2 or not head[1].startswith("# pool_prior "):
-        return (*sizes, config, seed, 1)
+        return (*sizes.values(), config, seed, 1)
     try:
         prior = np.array([float(v) for v in head[1][len("# pool_prior ") :].split()])
-        if prior.size != sizes[1]:
-            raise ValueError(f"{prior.size} entries for {sizes[1]} senders")
-        return (*sizes, MixConfig(config.kind, config.t, config.alpha, config.m, prior), seed, 2)
+        if prior.size != sizes["n_senders"]:
+            raise ValueError(f"{prior.size} entries for {sizes['n_senders']} senders")
+        return (*sizes.values(), replace(config, pool_prior=prior), seed, 2)
     except ValueError as exc:
         raise ParseError(f"bad pool_prior: {exc}", line_no=2) from exc
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, _decode_utf8, _open_utf8
+from .errors import (InvalidParameterError, ParseError, _decode_utf8, _open_utf8, check, choice,
+                     integer, probabilities)
 
 PROFILE_DISTS = ("zipf", "uniform", "deterministic")
 FREQ_DISTS = ("uniform", "zipf")
@@ -30,7 +31,8 @@ class UserPopulation:
     is addressed to receiver ``j``; ``frequencies[i]`` is the probability
     that a message arriving at the mix comes from sender ``i``.  Instances
     are treated as immutable; rectangular populations (more receivers than
-    senders or vice versa) are allowed.
+    senders or vice versa) are allowed.  Each profile row and the frequencies
+    must sum to 1 within :data:`SUM_TOL`.
     """
 
     n_senders: int
@@ -44,8 +46,8 @@ class UserPopulation:
         self.validate()
 
     def validate(self):
-        if self.n_senders < 1 or self.n_receivers < 1:
-            raise InvalidParameterError("population needs at least one sender and one receiver")
+        check("n_senders", self.n_senders, integer(1))
+        check("n_receivers", self.n_receivers, integer(1))
         if self.profiles.shape != (self.n_senders, self.n_receivers):
             raise InvalidParameterError(
                 f"profiles shape {self.profiles.shape} does not match "
@@ -53,19 +55,8 @@ class UserPopulation:
             )
         if self.frequencies.shape != (self.n_senders,):
             raise InvalidParameterError("frequencies length does not match n_senders")
-        # a NaN fails every comparison, so the range tests are written to refuse it
-        if not np.all((self.profiles >= 0) & (self.profiles <= 1)):
-            raise InvalidParameterError("profile entries must lie in [0, 1]")
-        row_sums = self.profiles.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > SUM_TOL):
-            worst = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise InvalidParameterError(
-                f"profile row {worst} sums to {row_sums[worst]!r}, expected 1"
-            )
-        if not np.all((self.frequencies >= 0) & (self.frequencies <= 1)):
-            raise InvalidParameterError("frequencies must lie in [0, 1]")
-        if not abs(float(self.frequencies.sum()) - 1.0) <= SUM_TOL:
-            raise InvalidParameterError("frequencies must sum to 1")
+        check("profile entries of each row", self.profiles, probabilities(SUM_TOL))
+        check("frequencies", self.frequencies, probabilities(SUM_TOL))
 
 
 @dataclass(frozen=True)
@@ -99,18 +90,15 @@ def gen_population(
 
     The same arguments always produce the same population.
     """
-    if n_users < 1:
-        raise InvalidParameterError("n_users must be >= 1")
-    if n_friends < 1 or n_friends > n_users:
+    check("n_users", n_users, integer(1))
+    check("n_friends", n_friends, integer(1))
+    if n_friends > n_users:
         raise InvalidParameterError(
             f"n_friends must lie in [1, n_users]; got {n_friends} for {n_users} users"
         )
-    if profile_dist not in PROFILE_DISTS:
-        raise InvalidParameterError(f"unknown profile_dist {profile_dist!r}")
-    if freq_dist not in FREQ_DISTS:
-        raise InvalidParameterError(f"unknown freq_dist {freq_dist!r}")
-    if seed < 0:
-        raise InvalidParameterError("seed must be >= 0")
+    check("profile_dist", profile_dist, choice(PROFILE_DISTS))
+    check("freq_dist", freq_dist, choice(FREQ_DISTS))
+    check("seed", seed, integer(0))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     profiles = np.zeros((n_users, n_users))

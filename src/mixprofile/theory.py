@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularFrequencyError
+from .errors import (InvalidParameterError, SingularFrequencyError, check, choice, integer,
+                     probabilities, real, reals)
 
 EXACT = "exact"
 ROUGH = "rough_approx"
@@ -54,26 +55,6 @@ class MsePrediction:
         return ~np.isfinite(self.mse_profile)
 
 
-def _check_inputs(f, u, u_bar, t, rho, regime):
-    f = np.asarray(f, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if f.ndim != 1 or u.shape != f.shape:
-        raise InvalidParameterError("f and u must be vectors of equal length")
-    if np.any(f < 0) or np.any(f > 1) or abs(float(f.sum()) - 1.0) > _FREQ_SUM_TOL:
-        raise InvalidParameterError("f must be a probability vector")
-    if np.any(u < 0) or np.any(u >= 1):
-        raise InvalidParameterError("uniformities must lie in [0, 1)")
-    if not 0.0 <= u_bar < 1.0:
-        raise InvalidParameterError("u_bar must lie in [0, 1)")
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
-    if rho < 1:
-        raise InvalidParameterError("rho must be >= 1")
-    if regime not in REGIMES:
-        raise InvalidParameterError(f"unknown regime {regime!r}")
-    return f, u
-
-
 def predict_mse_threshold(
     f: np.ndarray,
     u: np.ndarray,
@@ -97,8 +78,7 @@ def predict_mse_threshold(
 
 def pool_constants(alpha: float) -> tuple[float, float]:
     """The constants ``alpha_q = a/(2-a)`` and ``alpha_r = a(2-a)/(2-a(2-a))``."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1]")
+    check("alpha", alpha, real(0, 1, "(]"))
     alpha_q = alpha / (2.0 - alpha)
     alpha_r = alpha * (2.0 - alpha) / (2.0 - alpha * (2.0 - alpha))
     return alpha_q, alpha_r
@@ -127,7 +107,15 @@ def predict_mse_pool(
     the pool needs for the same error) and the mean message delay
     ``(1-alpha)/alpha``.
     """
-    f, u = _check_inputs(f, u, u_bar, t, rho, regime)
+    f, u = np.asarray(f, dtype=float), np.asarray(u, dtype=float)
+    if f.ndim != 1 or u.shape != f.shape:
+        raise InvalidParameterError("f and u must be vectors of equal length")
+    check("f", f, probabilities(_FREQ_SUM_TOL))
+    check("u", u, reals(0, 1, "[)"))
+    check("u_bar", u_bar, real(0, 1, "[)"))
+    check("t", t, integer(1))
+    check("rho", rho, integer(1))
+    check("regime", regime, choice(REGIMES))
     alpha_q, alpha_r = pool_constants(alpha)
     penalty = (2.0 - alpha) / alpha
     mse = np.full(f.shape, np.inf)  # zero-frequency senders stay infinite
@@ -159,14 +147,12 @@ def input_autocorr_inverse(f: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarra
     ``R_x @ R_x^{-1}`` is verified against the identity before returning.
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise InvalidParameterError("f must be a non-empty vector")
+    if f.ndim != 1:
+        raise InvalidParameterError("f must be a vector")
     if np.any(f <= 0):
         raise SingularFrequencyError("all frequencies must be strictly positive")
-    if abs(float(f.sum()) - 1.0) > _FREQ_SUM_TOL:
-        raise InvalidParameterError("f must sum to 1")
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
+    check("f", f, probabilities(_FREQ_SUM_TOL))
+    check("t", t, integer(1))
     n = f.size
     r_x = t * (np.diag(f) + (t - 1) * np.outer(f, f))
     r_x_inv = (np.diag(1.0 / f) - (1.0 - 1.0 / t) * np.ones((n, n))) / t

@@ -208,13 +208,15 @@ class TestBadInput:
 
     def test_gen_with_a_negative_seed(self, tmp_path, capsys):
         self.check_error(capsys, "gen", "--n-users", 4, "--n-friends", 2, "--seed", -1,
-                         "--out", tmp_path / "pop.json", match="seed must be >= 0")
+                         "--out", tmp_path / "pop.json",
+                         match="seed must be an integer >= 0, got -1")
 
     def test_simulate_with_a_negative_seed(self, tmp_path, capsys):
         pop_path = tmp_path / "pop.json"
         assert run("gen", "--n-users", 4, "--n-friends", 2, "--out", pop_path) == 0
         self.check_error(capsys, "simulate", "--population", pop_path, "--rho", 10,
-                         "--seed", -2, "--out", tmp_path / "trace.txt", match="seed must be >= 0")
+                         "--seed", -2, "--out", tmp_path / "trace.txt",
+                         match="seed must be an integer >= 0, got -2")
 
     @pytest.mark.parametrize("argv", [
         ("attack", "--trace", "t.txt", "--seed", 1),

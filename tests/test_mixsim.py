@@ -85,7 +85,7 @@ class TestThresholdSimulation:
 
     def test_negative_seed(self):
         pop = two_user_population(f0=0.5)
-        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0, got -2"):
             simulate_trace(pop, MixConfig(kind="threshold", t=3), rho=5, seed=-2)
 
     def test_output_rows_sum_to_threshold(self):

@@ -135,20 +135,6 @@ def test_a_block_that_does_not_fit_changes_nothing(a_rows, y_rows):
     assert (eq.y_sq, eq.rounds) == before[2:]
 
 
-@pytest.mark.parametrize("block", [-3, 0, 2.5, True, "4"])
-def test_from_trace_refuses_a_bad_block(block):
-    _, trace = random_trace(n_users=4, t=3, rho=30, seed=1)
-    with pytest.raises(InvalidParameterError, match="block must be an integer >= 1"):
-        NormalEquations.from_trace(trace, block=block)
-
-
-def test_from_trace_block_defaults_to_the_rls_block(monkeypatch):
-    _, trace = random_trace(n_users=4, t=3, rho=30, seed=1, kind="binomial_pool", alpha=0.5)
-    monkeypatch.setattr(estimators, "RLS_BLOCK", 7)
-    np.testing.assert_array_equal(NormalEquations.from_trace(trace).gram,
-                                  NormalEquations.from_trace(trace, block=np.int64(7)).gram)
-
-
 def whole_trace_statistics(trace):
     """The statistics of the trace added as one block of ``U_hat`` and ``Y``."""
     eq = NormalEquations(trace.n_senders, trace.n_receivers)
@@ -169,7 +155,10 @@ def test_streamed_statistics_match_one_whole_block(block, kind, data):
     pool = kind == "binomial_pool"
     _, trace = random_trace(n_users=5, t=4, rho=rho, seed=data.draw(st.integers(0, 10_000)),
                             kind=kind, alpha=0.3 if pool else 1.0, m=7 if pool else 0)
-    streamed, whole = NormalEquations.from_trace(trace, block=block), whole_trace_statistics(trace)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "RLS_BLOCK", block)
+        streamed = NormalEquations.from_trace(trace)
+    whole = whole_trace_statistics(trace)
     assert streamed.rounds == whole.rounds == rho
     assert streamed.y_sq == whole.y_sq
     if pool:

@@ -72,7 +72,7 @@ class TestGenPopulation:
             gen_population(10, 3, "powerlaw", "uniform", seed=0)
 
     def test_negative_seed(self):
-        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0, got -1"):
             gen_population(10, 3, "zipf", "uniform", seed=-1)
 
 
