@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (
     EmptyLogError,

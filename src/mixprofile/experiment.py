@@ -24,7 +24,8 @@ from .errors import (InvalidParameterError, InvalidScenarioError, MixProfileErro
                      choice, integer, real)
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
 from .metrics import aggregate_repetitions, profile_mse_vector
-from .mixsim import BINOMIAL_POOL, THRESHOLD, MIX_KINDS, MixConfig, simulate_trace
+from .mixsim import (BINOMIAL_POOL, MIX_KINDS, THRESHOLD, THRESHOLD_UNREAD, MixConfig,
+                     simulate_trace)
 from .population import FREQ_DISTS, PROFILE_DISTS, gen_population, uniformity_stats
 from .theory import EXACT, ROUGH, predict_mse_pool, predict_mse_threshold
 
@@ -108,8 +109,7 @@ class ExperimentSpec:
             for key, unread in (("alpha", self.alpha != 1), ("m", self.m != 0),
                                 ("sweep_param", self.sweep_param == "alpha")):
                 if unread:
-                    raise _FieldError("mix_kind threshold reads neither alpha nor m; "
-                                      f"got {key}={getattr(self, key)!r}", key)
+                    raise _FieldError(THRESHOLD_UNREAD.format(key, getattr(self, key)), key)
         cells = [{}]  # each cell's sizes that differ from the base values
         if self.sweep_param in ("n_users", "n_friends"):
             cells = [{self.sweep_param: value} for value in self.sweep_values]

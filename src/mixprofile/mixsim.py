@@ -25,6 +25,8 @@ from .population import SUM_TOL, UserPopulation
 THRESHOLD = "threshold"
 BINOMIAL_POOL = "binomial_pool"
 MIX_KINDS = (THRESHOLD, BINOMIAL_POOL)
+#: the refusal of a setting that a threshold mix does not read, by :class:`MixConfig` and the spec
+THRESHOLD_UNREAD = "mix_kind threshold reads neither alpha nor m; got {}={!r}"
 
 # Named random substreams, one per concern, so that extending the number of
 # simulated rounds never perturbs the rounds already drawn.
@@ -61,9 +63,10 @@ class MixConfig:
         check("alpha", self.alpha, real(0, 1, "(]"))
         check("m", self.m, integer(0))
         if self.kind == THRESHOLD:
-            if self.alpha != 1 or self.m != 0 or self.pool_prior is not None:
-                raise InvalidParameterError("a threshold mix needs alpha=1, m=0 and no pool_prior; "
-                                            f"got alpha={self.alpha!r}, m={self.m!r}")
+            for key, unread in (("alpha", self.alpha != 1), ("m", self.m != 0),
+                                ("pool_prior", self.pool_prior is not None)):
+                if unread:
+                    raise InvalidParameterError(THRESHOLD_UNREAD.format(key, getattr(self, key)))
         elif self.pool_prior is not None:
             object.__setattr__(self, "pool_prior", np.asarray(self.pool_prior, dtype=float))
             check("pool_prior", self.pool_prior, probabilities(SUM_TOL))
@@ -98,11 +101,16 @@ class Trace:
 
     ``U[r, i]`` counts messages sent by user ``i`` in round ``r`` and
     ``Y[r, j]`` counts messages delivered to user ``j`` in round ``r``.
-    Counts are integer or float arrays of whole numbers below ``2**63``; other
-    dtypes (bool, string, object) and other counts raise
-    :class:`InvalidParameterError`.  Integer arrays are stored without a copy
-    and made read-only, so writing into ``U`` or ``Y`` (or into the arrays
-    passed in) raises ``ValueError``.  A trace compares and hashes by
+    Counts are integer or float arrays of non-negative whole numbers below
+    ``2**63``; other dtypes (bool, string, object) and other counts raise
+    :class:`InvalidParameterError`.  Each of ``U`` and ``Y`` is stored in
+    :func:`count_dtype` of its largest count, the narrowest of int8, int16,
+    int32 and int64 that holds it: an array already in that dtype is stored
+    without a copy, a wider one is copied narrow.  So arithmetic on them can
+    overflow: convert with ``.astype(np.int64)`` (or to float) first; numpy's
+    sums and means already accumulate in int64 or float64.  The stored arrays
+    are read-only, so writing into ``U`` or ``Y`` (or into an array stored
+    without a copy) raises ``ValueError``.  A trace compares and hashes by
     identity: the least-squares attacks build its normal equations once, on
     first use, and share them while the trace lives.
     """
@@ -123,7 +131,9 @@ class Trace:
             if counts.dtype.kind != "i" and not np.all((counts == np.trunc(counts))
                                                        & (abs(counts) < 2**63)):
                 raise InvalidParameterError(f"{name} counts must be whole numbers below 2**63")
-            counts = counts.astype(np.int64, copy=False)
+            if counts.min(initial=0) < 0:
+                raise InvalidParameterError("counts must be non-negative")
+            counts = counts.astype(count_dtype(counts.max(initial=0)), copy=False)
             counts.flags.writeable = False
             object.__setattr__(self, name, counts)
         self.validate()
@@ -149,8 +159,6 @@ class Trace:
         if self.U.ndim != 2 or self.Y.ndim != 2 or self.U.shape[0] != self.Y.shape[0]:
             raise InvalidParameterError("U and Y must be matrices with one row per round")
         check("rho", self.rho, integer(1))
-        if self.U.min(initial=0) < 0 or self.Y.min(initial=0) < 0:
-            raise InvalidParameterError("counts must be non-negative")
         for bad, message in _count_rules(self.U, self.Y, self.config):
             if bad.any():
                 raise InvalidParameterError(message)
@@ -169,10 +177,32 @@ def _count_rules(U: np.ndarray, Y: np.ndarray, config: MixConfig) -> list:
     return rules
 
 
+#: the dtypes a :class:`Trace` stores its counts in, narrowest first
+COUNT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def count_dtype(largest: int) -> np.dtype:
+    """The narrowest of :data:`COUNT_DTYPES` that holds the counts ``0 .. largest``."""
+    return next(np.dtype(d) for d in COUNT_DTYPES if largest <= np.iinfo(d).max)
+
+
 def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Count matrix ``C[r, c]`` of how often each (row, column) index pair occurs."""
+    """Count matrix ``C[r, c]`` of how often each (row, column) index pair occurs, in
+    :func:`count_dtype` of its largest count; a pair whose row is negative is not counted.
+
+    The flat pair indices are sorted and each run of equal ones counted, so no count
+    matrix is held wider than it is returned.
+    """
     n_rows, n_cols = shape
-    return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols).reshape(shape)
+    keys = (rows * n_cols + cols)[rows >= 0]
+    keys.sort()
+    first = np.ones(keys.size + 1, dtype=bool)  # the first of each run of equal keys, and the end
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    counts = np.diff(np.flatnonzero(first))
+    keys = keys[first[:-1]]
+    out = np.zeros(n_rows * n_cols, count_dtype(counts.max(initial=0)))
+    out[keys] = counts
+    return out.reshape(shape)
 
 
 def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
@@ -181,14 +211,21 @@ def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
     The rows' cumulative sums, normalised by their last entry and shifted by the
     row index, form one flat table, searched with ``side="right"`` for the keys
     ``row + u`` held below ``row + 1`` (which ``row + u`` can round up to).  A
-    probability-0 column repeats the entry before it, so no key draws it.
+    probability-0 column repeats the entry before it, so no key draws it.  The
+    keys are searched in sorted order, which walks the table once instead of
+    jumping about it, and each result is put back in its key's place.
     """
     cdf = np.cumsum(np.atleast_2d(probs), axis=1)
     cdf /= cdf[:, -1:]
     n_rows, n_cols = cdf.shape
     table = (cdf + np.arange(n_rows)[:, None]).ravel()
     keys = np.minimum(rows + u, np.nextafter(rows + 1.0, 0))
-    return np.searchsorted(table, keys, side="right") - rows * n_cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    found = np.empty(keys.size, dtype=np.intp)
+    found[order] = np.searchsorted(table, keys, side="right")
+    found -= rows * n_cols
+    return found
 
 
 def simulate_trace(
@@ -217,23 +254,23 @@ def simulate_trace(
     config.check_prior(pop.n_senders)
     m, t = config.m, config.t
     # message order: the initial pool, then round by round in draw order
-    rounds = np.repeat(np.arange(rho), t)
-    senders = _inverse_cdf(pop.frequencies, 0, _substream(seed, _SS_SENDERS).random(rho * t))
-    initial = (_inverse_cdf(config.pool_prior, 0, _substream(seed, _SS_INITIAL_POOL).random(m))
-               if m else senders[:0])
-    src = np.concatenate([initial, senders])
-    entry = np.concatenate([np.full(m, -1), rounds])
+    src = np.empty(m + rho * t, dtype=np.intp)
+    if m:
+        src[:m] = _inverse_cdf(config.pool_prior, 0, _substream(seed, _SS_INITIAL_POOL).random(m))
+    src[m:] = _inverse_cdf(pop.frequencies, 0, _substream(seed, _SS_SENDERS).random(rho * t))
+    entry = np.full(src.size, -1)
+    entry[m:] = np.arange(rho * t) // t
+    U = _count_pairs(entry[m:], src[m:], (rho, pop.n_senders))
     dst = _inverse_cdf(pop.profiles, src, _substream(seed, _SS_RECIPIENTS).random(src.size))
 
     if config.kind == BINOMIAL_POOL:
-        delay = _substream(seed, _SS_DEPARTURES).geometric(config.alpha, size=src.size) - 1
-        exit_ = np.maximum(entry, 0) + delay
+        exit_ = _substream(seed, _SS_DEPARTURES).geometric(config.alpha, size=src.size)
+        exit_ += entry
+        exit_[m:] -= 1  # exit = entry + draw - 1, the initial pool's entry of -1 read as 0
         exit_[exit_ >= rho] = -1
     else:
         exit_ = entry
-    delivered = exit_ >= 0
-    U = _count_pairs(rounds, senders, (rho, pop.n_senders))
-    Y = _count_pairs(exit_[delivered], dst[delivered], (rho, pop.n_receivers))
+    Y = _count_pairs(exit_, dst, (rho, pop.n_receivers))  # exit -1: still pooled
 
     gt = GroundTruth(src, dst, entry, exit_) if record_ground_truth else None
     return Trace(U=U, Y=Y, config=config, seed=seed, ground_truth=gt)
@@ -370,15 +407,17 @@ _DIGITS = b"0123456789"
 _NUMBER_STARTS = bytes.maketrans(b":123456789", b" 111111111")
 
 
-def _parse_rounds(lines: list, r0: int, U: np.ndarray, Y: np.ndarray, cap: int) -> None:
-    """Fill rows ``r0, r0+1, ...`` of ``U`` and ``Y`` from their round lines.
+def _parse_rounds(lines: list, r0: int, counts: list, cap: int) -> None:
+    """Fill rows ``r0, r0+1, ...`` of the matrices ``counts = [U, Y]`` from their round lines.
 
     Each line must be the next round's, laid out as :func:`save_trace` writes
     it, with counts in ``1 .. cap``.  Anything else raises ValueError, whose
-    message describes the line when ``lines`` holds just one.
+    message describes the line when ``lines`` holds just one.  A matrix whose
+    dtype cannot hold a count of the lines is replaced in ``counts`` by a copy
+    in :func:`count_dtype` of their largest count, so no count wraps.
     """
-    if r0 + len(lines) > len(U):
-        raise ValueError(f"more round lines than rho={len(U)}")
+    if r0 + len(lines) > len(counts[0]):
+        raise ValueError(f"more round lines than rho={len(counts[0])}")
     sides = ([], [])
     for r, line in enumerate(lines, r0):
         head, _, rest = line.rstrip("\n").partition(" in ")
@@ -389,7 +428,8 @@ def _parse_rounds(lines: list, r0: int, U: np.ndarray, Y: np.ndarray, cap: int) 
             raise ValueError(f"expected round {r}, got round {head}")
         sides[0].append(u)
         sides[1].append(y)
-    for mat, parts in zip((U, Y), sides):
+    for side, parts in enumerate(sides):
+        mat = counts[side]
         n_cols = mat.shape[1]
         text = " ".join(p for p in parts if p).encode()
         n_pairs = text.count(b":")
@@ -403,15 +443,18 @@ def _parse_rounds(lines: list, r0: int, U: np.ndarray, Y: np.ndarray, cap: int) 
         values = np.fromstring(text.replace(b":", b" "), dtype=np.int64, sep=" ")
         if values.size != 2 * n_pairs:
             raise ValueError("a user or a count is empty")
-        cols, counts = values[0::2], values[1::2]
+        cols, found = values[0::2], values[1::2]
         if cols.max(initial=0) >= n_cols:
             raise ValueError(f"user {cols.max()} outside 0..{n_cols - 1}")
-        if counts.min(initial=1) < 1 or counts.max(initial=0) > cap:
+        largest = found.max(initial=0)
+        if found.min(initial=1) < 1 or largest > cap:
             raise ValueError(f"count outside 1..{cap}")
         keys = np.repeat(np.arange(len(parts)), [p.count(":") for p in parts]) * n_cols + cols
         if np.any(np.diff(keys) <= 0):
             raise ValueError("user listed twice or out of order")
-        mat[r0 : r0 + len(lines)].ravel()[keys] = counts
+        if largest > np.iinfo(mat.dtype).max:
+            counts[side] = mat = mat.astype(count_dtype(largest))
+        mat[r0 : r0 + len(lines)].ravel()[keys] = found
 
 
 def load_trace(path) -> Trace:
@@ -424,6 +467,8 @@ def load_trace(path) -> Trace:
     :meth:`Trace.validate` raise :class:`ParseError` with the line, and a
     missing round without one.  A header whose ``rho`` the rest of the file
     cannot hold, or whose sizes cannot be allocated, raises at line 1.
+    ``U`` and ``Y`` are read into int8 matrices, each widened only when a
+    count needs it, so a trace is never held in a wider dtype than it is stored.
     """
     with _open_utf8(path) as fh:
         head = list(itertools.islice(fh, 2))
@@ -433,17 +478,17 @@ def load_trace(path) -> Trace:
         if rho * 10 > rest:  # the shortest round line, "0 in 0:1 out \n", takes 14 bytes
             raise ParseError(f"rho={rho} rounds cannot fit in the {rest} bytes", line_no=1)
         try:
-            U = np.zeros((rho, n_senders), dtype=np.int64)
-            Y = np.zeros((rho, n_receivers), dtype=np.int64)
+            counts = [np.zeros((rho, n), dtype=COUNT_DTYPES[0]) for n in (n_senders, n_receivers)]
         except MemoryError as exc:
             raise ParseError(f"header sizes too large: {exc}", line_no=1) from exc
         # no count in a valid trace exceeds the messages that can have entered the mix
         cap = config.m + config.t * rho
 
         def parse(lines, r0):  # fills U and Y in place; a block's result is its line count
-            _parse_rounds(lines, r0, U, Y, cap)
+            _parse_rounds(lines, r0, counts, cap)
             return len(lines)
         n_lines = sum(_read_blocks(itertools.chain(head[body_start:], fh), parse, body_start + 1))
+    U, Y = counts
     if n_lines < rho:
         raise ParseError(f"no line for round {n_lines}")
     try:

@@ -55,7 +55,10 @@ class UserPopulation:
             )
         if self.frequencies.shape != (self.n_senders,):
             raise InvalidParameterError("frequencies length does not match n_senders")
-        check("profile entries of each row", self.profiles, probabilities(SUM_TOL))
+        rule = probabilities(SUM_TOL)
+        if not rule[0](self.profiles):  # the whole matrix at once; a refusal names its first bad row
+            for i, row in enumerate(self.profiles):
+                check(f"profile entries of row {i}, summing to {float(row.sum())!r},", row, rule)
         check("frequencies", self.frequencies, probabilities(SUM_TOL))
 
 

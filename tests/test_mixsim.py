@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from mixprofile import (
+    ExperimentSpec,
     InvalidParameterError,
     MixConfig,
     ParseError,
@@ -56,10 +57,21 @@ def two_user_population(f0=1.0):
 class TestConfig:
     def test_threshold_refuses_pool_settings(self):
         for settings in (dict(alpha=0.4), dict(m=7), dict(pool_prior=np.array([1.0]))):
-            with pytest.raises(InvalidParameterError, match="threshold mix needs alpha=1"):
+            with pytest.raises(InvalidParameterError,
+                               match="mix_kind threshold reads neither alpha nor m; got "):
                 MixConfig(kind="threshold", t=3, **settings)
         cfg = MixConfig(kind="threshold", t=3, alpha=1.0, m=0)
         assert cfg.alpha == 1.0 and cfg.m == 0 and cfg.pool_prior is None
+
+    @pytest.mark.parametrize("setting", [dict(alpha=0.5), dict(m=4)])
+    def test_config_and_spec_refuse_a_threshold_setting_alike(self, setting):
+        with pytest.raises(InvalidParameterError) as config:
+            MixConfig(kind="threshold", **setting)
+        with pytest.raises(InvalidParameterError) as spec:
+            ExperimentSpec(mix_kind="threshold", **setting)
+        (key, value), = setting.items()
+        assert str(config.value) == str(spec.value) == (
+            f"mix_kind threshold reads neither alpha nor m; got {key}={value}")
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
     def test_bad_alpha(self, alpha):
@@ -290,9 +302,12 @@ class TestTraceValidation:
     def test_whole_float_counts_kept_and_integer_counts_not_copied(self):
         cfg = MixConfig(kind="binomial_pool", t=2)
         trace = Trace(U=[[1.0, 1.0]], Y=[[0.0, 1.0]], config=cfg)
-        assert trace.Y.dtype == np.int64 and trace.Y.tolist() == [[0, 1]]
-        U = np.array([[1, 1]], dtype=np.int64)
-        assert Trace(U=U, Y=U, config=cfg).U is U
+        assert trace.Y.dtype == np.int8 and trace.Y.tolist() == [[0, 1]]
+        narrow = np.array([[1, 1]], dtype=np.int8)
+        assert Trace(U=narrow, Y=narrow, config=cfg).U is narrow
+        wide = np.array([[1, 1]], dtype=np.int64)
+        stored = Trace(U=wide, Y=wide, config=cfg).U
+        assert stored is not wide and stored.dtype == np.int8 and wide.flags.writeable
 
     def test_negative_counts_refused(self):
         with pytest.raises(InvalidParameterError, match="non-negative"):
@@ -311,7 +326,7 @@ class TestTraceValidation:
                 Trace(U=np.ones((3, 2), dtype=np.int64), Y=empty, config=cfg)
 
     def test_counts_are_read_only(self):
-        U = np.array([[1, 1], [2, 0]], dtype=np.int64)
+        U = np.array([[1, 1], [2, 0]], dtype=np.int8)
         trace = make_trace(U=U, Y=[[0, 2], [1, 1]])
         for counts in (trace.U, trace.Y, U):
             with pytest.raises(ValueError, match="read-only"):

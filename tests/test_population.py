@@ -113,6 +113,14 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             UserPopulation(3, 3, profiles, np.full(3, 1 / 3))
 
+    def test_refusal_names_the_first_bad_row_and_its_sum(self):
+        profiles = np.eye(300)
+        profiles[17, 17] = profiles[40, 40] = 0.9
+        with pytest.raises(InvalidParameterError,
+                           match=r"^profile entries of row 17, summing to 0\.9, must be "
+                                 r"probabilities summing to 1 within 1e-12, got array\("):
+            UserPopulation(300, 300, profiles, np.full(300, 1 / 300))
+
     def test_rejects_negative_entry(self):
         profiles = np.array([[1.2, -0.2], [0.5, 0.5]])
         with pytest.raises(InvalidParameterError):
