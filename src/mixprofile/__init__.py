@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (
     EmptyLogError,
@@ -55,7 +55,6 @@ from .mixsim import (
 )
 from .observe import ExpectedDepartures, expected_departures
 from .population import (
-    UniformityStats,
     UserPopulation,
     gen_population,
     load_population,

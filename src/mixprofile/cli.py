@@ -14,7 +14,6 @@ from .estimators import (
     METHODS,
     RLS,
     ZCLIP,
-    ProfileEstimate,
     SolverOptions,
     clsda,
     lsda,
@@ -92,9 +91,8 @@ def _cmd_attack(args) -> int:
         est = rls(trace, ridge=args.ridge)
     elif args.method == "zclip":
         est = zero_clip(lsda(trace, ridge=args.ridge))
-    else:  # sda: single-profile output, stored as a one-row estimate
-        vector = sda(trace, trace.config.t, trace.n_receivers)
-        est = ProfileEstimate(P_hat=vector[None, :], method="sda", iterations=trace.rho)
+    else:
+        est = sda(trace)
     save_estimate(est, args.out)
     print(
         f"{args.method}: iterations={est.iterations} residual={est.residual:.6g} "
@@ -106,8 +104,7 @@ def _cmd_attack(args) -> int:
 def _cmd_predict(args) -> int:
     _check_given(args, "kind")
     pop = load_population(args.population)
-    stats = uniformity_stats(pop)
-    base = (pop.frequencies, stats.u, stats.u_bar, args.t, args.rho)
+    base = (pop.frequencies, uniformity_stats(pop), args.t, args.rho)
     if args.kind == "pool":
         pred = predict_mse_pool(*base, args.alpha, args.regime)
     else:

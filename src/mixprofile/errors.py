@@ -1,5 +1,6 @@
 """Exception types shared across the package, the parameter rules that raise
-:class:`InvalidParameterError`, and the text decoding that raises :class:`ParseError`.
+:class:`InvalidParameterError`, the JSON object hook that refuses a repeated key, and
+the text decoding that raises :class:`ParseError`.
 
 A rule is a pair ``(test of a value, what the value must be)``, made by
 :func:`integer`, :func:`real`, :func:`reals`, :func:`probabilities` or
@@ -19,6 +20,25 @@ class MixProfileError(Exception):
 
 class InvalidParameterError(MixProfileError, ValueError):
     """A parameter lies outside its documented domain."""
+
+
+class _FieldError(InvalidParameterError):
+    """A refused value of a JSON file; ``keys`` name its fields, so the loader can give the
+    line."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs, as ``json.loads`` passes them to its
+    ``object_pairs_hook``; a key given twice raises :class:`_FieldError`."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise _FieldError(f"{key} is given twice", key)
+    return doc
 
 
 def check(name: str, value, rule: tuple) -> None:

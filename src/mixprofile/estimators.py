@@ -366,15 +366,15 @@ def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     return ProfileEstimate(P_hat=p, method=RLS, iterations=eq.rounds, residual=eq.residual(p))
 
 
-def sda(trace: Trace, t: int, n_users: int) -> np.ndarray:
+def sda(trace: Trace) -> ProfileEstimate:
     """Classic statistical disclosure estimate of the first user's profile.
 
     Requires the scenario in which user 0 sends exactly one message per
-    observed round while the remaining senders behave uniformly; returns
-    ``mean_r(y_j) - (t - 1)/n_users`` per receiver ``j``.  Entries may be
-    negative.
+    observed round while the remaining senders behave uniformly.  The
+    estimate's one row is ``mean_r(y_j) - (t - 1)/N`` per receiver ``j``, with
+    ``t`` the trace's threshold and ``N`` its number of receivers; entries may
+    be negative.  ``iterations`` counts rounds.
     """
-    check("n_users", n_users, integer(1))
     x_first = trace.U[:, 0]
     bad = np.nonzero(x_first != 1)[0]
     if bad.size:
@@ -382,7 +382,8 @@ def sda(trace: Trace, t: int, n_users: int) -> np.ndarray:
             f"round {int(bad[0])} has x_0={int(x_first[bad[0]])}; the statistical "
             "attack needs exactly one message from the target per round"
         )
-    return trace.Y.mean(axis=0) - (t - 1) / n_users
+    p = trace.Y.mean(axis=0) - (trace.config.t - 1) / trace.n_receivers
+    return ProfileEstimate(P_hat=p[None, :], method=SDA, iterations=trace.rho)
 
 
 def zero_clip(est: ProfileEstimate) -> ProfileEstimate:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (InvalidParameterError, InvalidScenarioError, MixProfileError, ParseError,
-                     SingularSystemError, SolverDivergedError, _decode_utf8, _open_utf8, check,
-                     choice, integer, real)
+                     SingularSystemError, SolverDivergedError, _decode_utf8, _FieldError,
+                     _open_utf8, _unique_keys, check, choice, integer, real)
 from .estimators import METHODS, clsda, lsda, rls, sda, zero_clip
 from .metrics import aggregate_repetitions, profile_mse_vector
 from .mixsim import (BINOMIAL_POOL, MIX_KINDS, THRESHOLD, THRESHOLD_UNREAD, MixConfig,
@@ -48,14 +48,6 @@ _FIELD_RULES = {
                 and len(set(v)) == len(v), f"a list of distinct methods from {METHODS}"),
     "include_theory": (lambda v: isinstance(v, bool), "true or false"),
 }
-
-
-class _FieldError(InvalidParameterError):
-    """A refused spec value; ``keys`` name its fields, so :func:`load_spec` can give the line."""
-
-    def __init__(self, message: str, *keys: str):
-        super().__init__(message)
-        self.keys = keys
 
 
 def _check_field(name: str, value, key: str | None = None) -> None:
@@ -151,16 +143,15 @@ def load_spec(path) -> ExperimentSpec:
     with _open_utf8(path) as fh:
         text = _decode_utf8(fh.read())
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed spec JSON: {exc.msg}", line_no=exc.lineno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("a spec must be a JSON object", line_no=1)
-    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
-    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if not isinstance(doc, dict):
+            raise ParseError("a spec must be a JSON object", line_no=1)
+        unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
         if unknown:
             raise _FieldError(f"unknown spec field {unknown[0]!r}", unknown[0])
         return ExperimentSpec(**doc)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed spec JSON: {exc.msg}", line_no=exc.lineno) from exc
     except _FieldError as exc:
         keys = "|".join(map(re.escape, exc.keys))
         member = re.compile(rf'"(?:{keys})"\s*:')  # opens one of the fields, unlike a value
@@ -212,13 +203,10 @@ def _run_method(method, trace, pop):
         return profile_mse_vector(pop, rls(trace))
     if method == "zclip":
         return profile_mse_vector(pop, zero_clip(lsda(trace)))
-    if method == "sda":
-        # the statistical attack only estimates the first sender's profile;
-        # its one-entry vector averages over that profile's transitions only
-        estimate = sda(trace, trace.config.t, pop.n_receivers)
-        diff = pop.profiles[0] - estimate
-        return np.array([float(diff @ diff)])
-    raise InvalidParameterError(f"unknown method {method!r}")
+    # sda, the statistical attack, only estimates the first sender's profile;
+    # its one-entry vector averages over that profile's transitions only
+    diff = pop.profiles[0] - sda(trace).P_hat[0]
+    return np.array([float(diff @ diff)])
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -247,8 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             trace = simulate_trace(pop, config, params.rho, record_ground_truth=False,
                                    seed=child_seed(spec.master_seed, vi, k, 1))
             if spec.include_theory and k == 0:
-                stats = uniformity_stats(pop)
-                args = (pop.frequencies, stats.u, stats.u_bar, params.t, params.rho)
+                args = (pop.frequencies, uniformity_stats(pop), params.t, params.rho)
                 predict = predict_mse_threshold
                 if params.mix_kind == BINOMIAL_POOL:
                     predict, args = predict_mse_pool, (*args, params.alpha)

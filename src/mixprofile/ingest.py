@@ -134,7 +134,7 @@ def build_rounds(
     profiles = pair_counts / sent_total[:, None]
     frequencies = sent_total / n_batched
 
-    pop = UserPopulation(n_s, n_r, profiles, frequencies)
+    pop = UserPopulation(profiles, frequencies)
     trace = Trace(
         U=U,
         Y=Y,

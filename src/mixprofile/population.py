@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, ParseError, _decode_utf8, _open_utf8, check, choice,
-                     integer, probabilities)
+from .errors import (InvalidParameterError, ParseError, _decode_utf8, _open_utf8, _unique_keys,
+                     check, choice, integer, probabilities, real)
 
 PROFILE_DISTS = ("zipf", "uniform", "deterministic")
 FREQ_DISTS = ("uniform", "zipf")
@@ -31,12 +31,11 @@ class UserPopulation:
     is addressed to receiver ``j``; ``frequencies[i]`` is the probability
     that a message arriving at the mix comes from sender ``i``.  Instances
     are treated as immutable; rectangular populations (more receivers than
-    senders or vice versa) are allowed.  Each profile row and the frequencies
+    senders or vice versa) are allowed, and ``n_senders`` and ``n_receivers``
+    are the shape of the profile matrix.  Each profile row and the frequencies
     must sum to 1 within :data:`SUM_TOL`.
     """
 
-    n_senders: int
-    n_receivers: int
     profiles: np.ndarray
     frequencies: np.ndarray
 
@@ -45,34 +44,20 @@ class UserPopulation:
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
         self.validate()
 
+    n_senders = property(lambda self: self.profiles.shape[0])
+    n_receivers = property(lambda self: self.profiles.shape[1])
+
     def validate(self):
-        check("n_senders", self.n_senders, integer(1))
-        check("n_receivers", self.n_receivers, integer(1))
-        if self.profiles.shape != (self.n_senders, self.n_receivers):
-            raise InvalidParameterError(
-                f"profiles shape {self.profiles.shape} does not match "
-                f"({self.n_senders}, {self.n_receivers})"
-            )
+        check("profiles", self.profiles, (lambda v: v.ndim == 2 and v.size > 0,
+                                          "a matrix with at least one row and one column"))
         if self.frequencies.shape != (self.n_senders,):
-            raise InvalidParameterError("frequencies length does not match n_senders")
+            raise InvalidParameterError(f"{self.frequencies.size} frequencies for "
+                                        f"{self.n_senders} profile rows")
         rule = probabilities(SUM_TOL)
         if not rule[0](self.profiles):  # the whole matrix at once; a refusal names its first bad row
             for i, row in enumerate(self.profiles):
                 check(f"profile entries of row {i}, summing to {float(row.sum())!r},", row, rule)
         check("frequencies", self.frequencies, probabilities(SUM_TOL))
-
-
-@dataclass(frozen=True)
-class UniformityStats:
-    """Per-user uniformity and its frequency-weighted mean.
-
-    ``u[i] = 1 - sum_j profiles[i, j]**2`` is 0 for a user who always writes
-    to the same receiver and approaches 1 as the profile flattens;
-    ``u_bar = sum_i frequencies[i] * u[i]``.
-    """
-
-    u: np.ndarray
-    u_bar: float
 
 
 def gen_population(
@@ -125,14 +110,16 @@ def gen_population(
         frequencies = 1.0 / np.arange(1, n_users + 1)
         frequencies /= frequencies.sum()
 
-    return UserPopulation(n_users, n_users, profiles, frequencies)
+    return UserPopulation(profiles, frequencies)
 
 
-def uniformity_stats(pop: UserPopulation) -> UniformityStats:
-    """Compute per-user uniformity ``u_i`` and the weighted mean ``u_bar``."""
-    u = 1.0 - np.sum(pop.profiles**2, axis=1)
-    u_bar = float(np.dot(pop.frequencies, u))
-    return UniformityStats(u=u, u_bar=u_bar)
+def uniformity_stats(pop: UserPopulation) -> np.ndarray:
+    """Per-user uniformity ``u[i] = 1 - sum_j profiles[i, j]**2``.
+
+    It is 0 for a user who always writes to the same receiver and approaches
+    1 as the profile flattens.
+    """
+    return 1.0 - np.sum(pop.profiles**2, axis=1)
 
 
 def save_population(pop: UserPopulation, path) -> None:
@@ -154,7 +141,7 @@ def save_population(pop: UserPopulation, path) -> None:
     frequencies = ",\n  ".join(map(repr, pop.frequencies.tolist()))
     with open(path, "w") as fh:
         fh.write(
-            f'{{\n "n_senders": {int(pop.n_senders)},\n "n_receivers": {int(pop.n_receivers)},\n'
+            f'{{\n "n_senders": {pop.n_senders},\n "n_receivers": {pop.n_receivers},\n'
             f' "frequencies": [\n  {frequencies}\n ],\n "profiles": [\n'
         )
         fh.write(",\n".join(users))
@@ -162,35 +149,42 @@ def save_population(pop: UserPopulation, path) -> None:
 
 
 def load_population(path) -> UserPopulation:
-    """Read a population file written by :func:`save_population`, checking sizes first."""
+    """Read a population file written by :func:`save_population`, checking sizes first.
+
+    Sizes and indices must be JSON integers, probabilities JSON numbers, and no
+    object may give a key twice.  A file that breaks these rules, and one whose
+    population :class:`UserPopulation` refuses, raises :class:`ParseError`.
+    """
     with _open_utf8(path) as fh:
         text = _decode_utf8(fh.read())
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not a valid population file: {exc.msg}", line_no=exc.lineno) from exc
-    try:
-        n_s = int(doc["n_senders"])
-        n_r = int(doc["n_receivers"])
-        frequencies = np.asarray(doc["frequencies"], dtype=float)
-        if frequencies.shape != (n_s,):
-            raise ValueError(f"{frequencies.size} frequencies for n_senders={n_s}")
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        n_s, n_r, frequencies = doc["n_senders"], doc["n_receivers"], doc["frequencies"]
+        check("n_senders", n_s, integer(1))
+        check("n_receivers", n_r, integer(1))
+        for value in frequencies:
+            check("frequency", value, real(0, 1))
+        if len(frequencies) != n_s:
+            raise ValueError(f"{len(frequencies)} frequencies for n_senders={n_s}")
         profiles = np.zeros((n_s, n_r))
         users = set()
         for row in doc["profiles"]:
-            i = int(row["user"])
+            i = row["user"]
+            check("user", i, integer(0))
             if i in users:
                 raise ValueError(f"user {i} appears twice")
             users.add(i)
             receivers = set()
             for entry in row["contacts"]:
-                j = int(entry["receiver"])
-                if min(i, j) < 0:  # would wrap around to the last row or column
-                    raise IndexError(f"negative index in user {i}, receiver {j}")
+                j, prob = entry["receiver"], entry["prob"]
+                check("receiver", j, integer(0))
+                check("prob", prob, real(0, 1))
                 if j in receivers:
                     raise ValueError(f"user {i} lists receiver {j} twice")
                 receivers.add(j)
-                profiles[i, j] = float(entry["prob"])
+                profiles[i, j] = prob
+        return UserPopulation(profiles, frequencies)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not a valid population file: {exc.msg}", line_no=exc.lineno) from exc
     except (KeyError, TypeError, IndexError, ValueError, MemoryError) as exc:
         raise ParseError(f"malformed population document: {exc}") from exc
-    return UserPopulation(n_s, n_r, profiles, frequencies)

@@ -58,7 +58,6 @@ class MsePrediction:
 def predict_mse_threshold(
     f: np.ndarray,
     u: np.ndarray,
-    u_bar: float,
     t: int,
     rho: int,
     regime: str = EXACT,
@@ -69,11 +68,11 @@ def predict_mse_threshold(
 
         ``(1/rho) * ((1/f_i - 1) * (1 - 1/t) * u_bar + (1/f_i) * u_i / t)``
 
-    The rough regime keeps only the dominant term ``(1/f_i) / rho`` (valid
-    for rare senders with flat profiles).  This is :func:`predict_mse_pool`
-    at ``alpha = 1``.
+    with ``u_bar = sum_i f_i * u_i``.  The rough regime keeps only the
+    dominant term ``(1/f_i) / rho`` (valid for rare senders with flat
+    profiles).  This is :func:`predict_mse_pool` at ``alpha = 1``.
     """
-    return replace(predict_mse_pool(f, u, u_bar, t, rho, 1.0, regime), mix_kind=THRESHOLD_KIND)
+    return replace(predict_mse_pool(f, u, t, rho, 1.0, regime), mix_kind=THRESHOLD_KIND)
 
 
 def pool_constants(alpha: float) -> tuple[float, float]:
@@ -87,7 +86,6 @@ def pool_constants(alpha: float) -> tuple[float, float]:
 def predict_mse_pool(
     f: np.ndarray,
     u: np.ndarray,
-    u_bar: float,
     t: int,
     rho: int,
     alpha: float,
@@ -100,7 +98,8 @@ def predict_mse_pool(
         ``(1/rho) * ((1/f_i - 1) * (u_bar * (1/a_r - 1/t) + 1/a_q - 1/a_r)
           + (1/f_i) * u_i / t)``
 
-    with ``a_q = alpha/(2-alpha)`` and ``a_r`` as in :func:`pool_constants`.
+    with ``u_bar = sum_i f_i * u_i``, ``a_q = alpha/(2-alpha)`` and ``a_r`` as in
+    :func:`pool_constants`.
     Rough regime: ``(1/f_i)/rho * (2-alpha)/alpha``.  At ``alpha = 1`` both
     regimes reduce to the threshold prediction.  The prediction also
     carries the round penalty ``(2-alpha)/alpha`` (how many times more rounds
@@ -112,7 +111,6 @@ def predict_mse_pool(
         raise InvalidParameterError("f and u must be vectors of equal length")
     check("f", f, probabilities(_FREQ_SUM_TOL))
     check("u", u, reals(0, 1, "[)"))
-    check("u_bar", u_bar, real(0, 1, "[)"))
     check("t", t, integer(1))
     check("rho", rho, integer(1))
     check("regime", regime, choice(REGIMES))
@@ -122,6 +120,7 @@ def predict_mse_pool(
     ok = f > 0
     finv = 1.0 / f[ok]
     if regime == EXACT:
+        u_bar = float(np.dot(f, u))
         bracket = u_bar * (1.0 / alpha_r - 1.0 / t) + (1.0 / alpha_q - 1.0 / alpha_r)
         mse[ok] = ((finv - 1.0) * bracket + finv / t * u[ok]) / rho
     else:

@@ -47,8 +47,8 @@ def mean_empirical_mse_p(pop_args, mix_kwargs, rho, reps, seed_base, method=lsda
 
 def theory_mse_p(pop_args, rho, t, alpha=None):
     pop = gen_population(**pop_args, seed=0)
-    stats = uniformity_stats(pop)
-    args = (pop.frequencies, stats.u, stats.u_bar, t, rho)
+    u = uniformity_stats(pop)
+    args = (pop.frequencies, u, t, rho)
     if alpha is None:
         return predict_mse_threshold(*args).mse_transition
     return predict_mse_pool(*args, alpha).mse_transition
@@ -187,7 +187,7 @@ def test_c08_sda_closed_form_and_consistency():
     Y[:4, 5] = 1
     Y[4:, 6] = 1
     trace = Trace(U=U, Y=Y, config=MixConfig(kind="threshold", t=t))
-    got = sda(trace, t=t, n_users=n)
+    got = sda(trace).P_hat[0]
     want = Y.mean(axis=0) - (t - 1) / n
     exact = np.array_equal(got, want)
 
@@ -199,7 +199,7 @@ def test_c08_sda_closed_form_and_consistency():
             tr, profile = sda_scenario_trace(
                 n_users=25, n_contacts=5, t=5, rho=rho_s, seed=80_000 + k
             )
-            est = sda(tr, t=5, n_users=25)
+            est = sda(tr).P_hat[0]
             errs.append(np.sum((est - profile) ** 2))
         mse[rho_s] = float(np.mean(errs))
     halving = mse[4000] / mse[2000]

@@ -84,7 +84,7 @@ def test_sda_unchanged(c, given, stored):
     config = MixConfig(kind="binomial_pool", t=c, alpha=0.5)
     narrow, wide = Trace(U=U, Y=Y, config=config), int64_trace(U=U, Y=Y, config=config)
     assert narrow.Y.dtype == stored
-    assert sda(narrow, c, 2).tobytes() == sda(wide, c, 2).tobytes()
+    assert sda(narrow).P_hat.tobytes() == sda(wide).P_hat.tobytes()
 
 
 def test_count_dtype_is_the_narrowest_that_holds_the_count():

@@ -565,9 +565,10 @@ class TestSda:
         Y[:, 0] = 1
         Y[:, 3] = 1
         trace = make_trace(U, Y)
-        est = sda(trace, t=2, n_users=10)
-        assert est[0] == pytest.approx(1 - 0.1, abs=1e-15)
-        assert est[5] == pytest.approx(-0.1, abs=1e-15)
+        est = sda(trace)
+        assert (est.method, est.iterations, est.P_hat.shape) == ("sda", 5, (1, 10))
+        assert est.P_hat[0, 0] == pytest.approx(1 - 0.1, abs=1e-15)
+        assert est.P_hat[0, 5] == pytest.approx(-0.1, abs=1e-15)
 
     def test_t_one_counts_only_target_messages(self):
         U = np.zeros((5, 10), dtype=int)
@@ -576,8 +577,8 @@ class TestSda:
         Y[:3, 2] = 1
         Y[3:, 4] = 1
         trace = make_trace(U, Y)
-        est = sda(trace, t=1, n_users=10)
-        assert est[2] == pytest.approx(0.6, abs=1e-15)
+        est = sda(trace)
+        assert est.P_hat[0, 2] == pytest.approx(0.6, abs=1e-15)
 
     def test_rejects_round_without_single_target_message(self):
         U = np.ones((3, 2), dtype=int)
@@ -585,19 +586,18 @@ class TestSda:
         Y = np.ones((3, 2), dtype=int)
         trace = make_trace(U, Y)
         with pytest.raises(InvalidScenarioError, match="round 1"):
-            sda(trace, t=2, n_users=2)
+            sda(trace)
 
-    def test_zero_users_rejected(self):
+    def test_old_call_with_t_and_n_users_fails_loudly(self):
         U = np.zeros((3, 2), dtype=int)
         U[:, 0] = 1
-        trace = make_trace(U, U)
-        with pytest.raises(InvalidParameterError, match="n_users"):
-            sda(trace, t=1, n_users=0)
+        with pytest.raises(TypeError):
+            sda(make_trace(U, U), 1, 2)
 
     def test_converges_to_target_profile(self):
         trace, profile = sda_scenario_trace(n_users=20, n_contacts=4, t=5, rho=20_000, seed=2)
-        est = sda(trace, t=5, n_users=20)
-        assert np.sum((est - profile) ** 2) < 0.01
+        est = sda(trace)
+        assert np.sum((est.P_hat[0] - profile) ** 2) < 0.01
 
 
 def departure_calls(monkeypatch):

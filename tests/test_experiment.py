@@ -78,6 +78,13 @@ class TestSpec:
         with pytest.raises(ParseError, match="line 3: unknown spec field 'n_usres'"):
             load_spec(path)
 
+    def test_spec_file_repeated_key(self, tmp_path):
+        # json keeps the last value, so this file used to load with rho=50
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "n_users": 10,\n "n_friends": 5,\n "rho": 500,\n "rho": 50\n}\n')
+        with pytest.raises(ParseError, match="line 4: rho is given twice"):
+            load_spec(path)
+
     def test_spec_file_malformed_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{\n "n_users": 10,\n}\n')

@@ -14,7 +14,7 @@ from mixprofile import (
 def population(profiles):
     profiles = np.asarray(profiles, dtype=float)
     n_s, n_r = profiles.shape
-    return UserPopulation(n_s, n_r, profiles, np.full(n_s, 1 / n_s))
+    return UserPopulation(profiles, np.full(n_s, 1 / n_s))
 
 
 def estimate(p_hat):

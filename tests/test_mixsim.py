@@ -51,7 +51,7 @@ def round_by_round_threshold(pop, t, rho, seed):
 
 def two_user_population(f0=1.0):
     profiles = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return UserPopulation(2, 2, profiles, np.array([f0, 1 - f0]))
+    return UserPopulation(profiles, np.array([f0, 1 - f0]))
 
 
 class TestConfig:

@@ -25,7 +25,7 @@ from mixprofile import (
 from mixprofile import simulate_trace as simulate
 
 NAN = float("nan")
-POP = UserPopulation(2, 2, [[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
+POP = UserPopulation([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
 EVENTS = EventLog(np.arange(4), np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0]), ("a", "b"),
                   ("x", "y"))
 TRACE_HEADER = "# mixtrace n_senders=1 n_receivers=1 t=2 kind=threshold alpha=1.0 m=0 rho=1 seed=0"
@@ -33,9 +33,9 @@ ESTIMATE_HEADER = "# estimate method=lsda iterations=1 residual=0 converged=True
 ESTIMATE_BODY = " n_receivers=1\n1.0\n"
 
 
-def theory(f=(0.5, 0.5), u=(0.5, 0.5), u_bar=0.5, t=10, rho=1000):
+def theory(f=(0.5, 0.5), u=(0.5, 0.5), t=10, rho=1000):
     """The arguments of a valid prediction, some of them changed."""
-    return f, u, u_bar, t, rho
+    return f, u, t, rho
 
 
 def from_file(loader, text):
@@ -85,8 +85,16 @@ ROWS = {
                                      "t must be an integer >= 1, got 2.5"),
     "input_autocorr_inverse f=nan": (lambda _: input_autocorr_inverse([NAN, 0.5, 0.5], 2),
                                      "f must be probabilities summing to 1"),
-    "UserPopulation n_senders=True": (lambda _: UserPopulation(True, 2, [[0.5, 0.5]], [1.0]),
-                                      "n_senders must be an integer >= 1, got True"),
+    # a u_bar where t now sits, as the predictors took it before 0.14.0
+    "predict_mse_threshold old u_bar": (lambda _: predict_mse_threshold(*theory()[:2], 0.5, 10,
+                                                                        1000),
+                                        "t must be an integer >= 1, got 0.5"),
+    "predict_mse_pool old u_bar": (lambda _: predict_mse_pool(*theory()[:2], 0.0, 10, 1000, 0.5),
+                                   "t must be an integer >= 1, got 0.0"),
+    "UserPopulation vector profiles": (lambda _: UserPopulation([1.0], [1.0]),
+                                       "profiles must be a matrix with at least one row and one"),
+    "UserPopulation no receivers": (lambda _: UserPopulation(np.zeros((1, 0)), [1.0]),
+                                    "profiles must be a matrix with at least one row and one"),
     "Trace string counts": (lambda _: Trace(np.array([["2"]]), np.array([[2]]), MixConfig(t=2)),
                             "U counts must be integers or floats, not dtype <U1"),
     "Trace bool counts": (lambda _: Trace(np.array([[True]]), np.array([[1]]), MixConfig(t=1)),

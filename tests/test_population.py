@@ -21,6 +21,38 @@ def harmonic(n):
     return sum(Fraction(1, k) for k in range(1, n + 1))
 
 
+def population_json(n_senders=2, n_receivers=2, frequencies=(0.5, 0.5),
+                    rows=((0, 0, 1.0), (1, 1, 1.0))):
+    """A population file's text; ``rows`` holds one ``(user, receiver, prob)`` contact per user."""
+    return json.dumps({"n_senders": n_senders, "n_receivers": n_receivers,
+                       "frequencies": list(frequencies),
+                       "profiles": [{"user": i, "contacts": [{"receiver": j, "prob": p}]}
+                                    for i, j, p in rows]})
+
+
+#: population files that used to load, each read as something other than what it holds,
+#: and the refusal each draws now
+MISTYPED_FILES = {
+    "n_receivers=2.5": (population_json(n_receivers=2.5),
+                        "n_receivers must be an integer >= 1, got 2.5"),
+    "receiver=1.5": (population_json(rows=((0, 0, 1.0), (1, 1.5, 1.0))),
+                     "receiver must be an integer >= 0, got 1.5"),
+    "user=1.7": (population_json(rows=((0, 0, 1.0), (1.7, 1, 1.0))),
+                 "user must be an integer >= 0, got 1.7"),
+    "user=true": (population_json(rows=((0, 0, 1.0), (True, 1, 1.0))),
+                  "user must be an integer >= 0, got True"),
+    "string frequencies": (population_json(frequencies=("0.5", "0.5")),
+                           r"frequency must be a number in \[0, 1\], got '0.5'"),
+    "n_senders=true": (population_json(True, 2, (1.0,), ((0, 1, 1.0),)),
+                       "n_senders must be an integer >= 1, got True"),
+    "prob string": (population_json(rows=((0, 0, 1.0), (1, 1, "1"))),
+                    r"prob must be a number in \[0, 1\], got '1'"),
+    "n_receivers twice": (population_json().replace('"n_receivers": 2',
+                                                    '"n_receivers": 3, "n_receivers": 2'),
+                          "n_receivers is given twice"),
+}
+
+
 class TestGenPopulation:
     def test_deterministic_profile_has_single_one(self):
         pop = gen_population(10, 1, "deterministic", "uniform", seed=3)
@@ -79,39 +111,35 @@ class TestGenPopulation:
 class TestUniformity:
     def test_deterministic_user_has_zero_uniformity(self):
         pop = gen_population(8, 1, "deterministic", "uniform", seed=0)
-        stats = uniformity_stats(pop)
-        assert np.all(stats.u == 0.0)
-        assert stats.u_bar == 0.0
+        assert np.all(uniformity_stats(pop) == 0.0)
 
     def test_uniform_over_all_receivers(self):
         n = 16
         pop = gen_population(n, n, "uniform", "uniform", seed=0)
-        stats = uniformity_stats(pop)
-        np.testing.assert_allclose(stats.u, (n - 1) / n, rtol=1e-14)
+        np.testing.assert_allclose(uniformity_stats(pop), (n - 1) / n, rtol=1e-14)
 
     def test_zipf_25_uniformity(self):
         # oracle: u = 1 - (sum k^-2) / H_25^2 over the 25 contact weights
         h = harmonic(25)
         oracle = float(1 - sum(Fraction(1, k * k) for k in range(1, 26)) / (h * h))
         pop = gen_population(60, 25, "zipf", "uniform", seed=5)
-        stats = uniformity_stats(pop)
-        np.testing.assert_allclose(stats.u, oracle, rtol=1e-13)
+        np.testing.assert_allclose(uniformity_stats(pop), oracle, rtol=1e-13)
         assert round(oracle, 5) == 0.88973
 
     def test_invariant_under_row_permutation(self):
         pop = gen_population(10, 4, "zipf", "uniform", seed=9)
-        u_before = uniformity_stats(pop).u
+        u_before = uniformity_stats(pop)
         rng = np.random.default_rng(0)
         shuffled = np.array([row[rng.permutation(10)] for row in pop.profiles])
-        permuted = UserPopulation(10, 10, shuffled, pop.frequencies)
-        np.testing.assert_allclose(uniformity_stats(permuted).u, u_before, rtol=1e-14)
+        permuted = UserPopulation(shuffled, pop.frequencies)
+        np.testing.assert_allclose(uniformity_stats(permuted), u_before, rtol=1e-14)
 
 
 class TestValidation:
     def test_rejects_bad_row_sum(self):
         profiles = np.full((3, 3), 0.4)
         with pytest.raises(InvalidParameterError):
-            UserPopulation(3, 3, profiles, np.full(3, 1 / 3))
+            UserPopulation(profiles, np.full(3, 1 / 3))
 
     def test_refusal_names_the_first_bad_row_and_its_sum(self):
         profiles = np.eye(300)
@@ -119,28 +147,36 @@ class TestValidation:
         with pytest.raises(InvalidParameterError,
                            match=r"^profile entries of row 17, summing to 0\.9, must be "
                                  r"probabilities summing to 1 within 1e-12, got array\("):
-            UserPopulation(300, 300, profiles, np.full(300, 1 / 300))
+            UserPopulation(profiles, np.full(300, 1 / 300))
 
     def test_rejects_negative_entry(self):
         profiles = np.array([[1.2, -0.2], [0.5, 0.5]])
         with pytest.raises(InvalidParameterError):
-            UserPopulation(2, 2, profiles, np.array([0.5, 0.5]))
+            UserPopulation(profiles, np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_profile_entries(self, bad):
         # a NaN row used to pass: every comparison with NaN is false
         with pytest.raises(InvalidParameterError, match="profile entries"):
-            UserPopulation(1, 2, [[bad, bad]], [1.0])
+            UserPopulation([[bad, bad]], [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_frequencies(self, bad):
         with pytest.raises(InvalidParameterError, match="frequencies"):
-            UserPopulation(2, 1, [[1.0], [1.0]], [bad, 0.0])
+            UserPopulation([[1.0], [1.0]], [bad, 0.0])
+
+    def test_old_call_with_sizes_fails_loudly(self):
+        with pytest.raises(TypeError):
+            UserPopulation(1, 2, [[0.5, 0.5]], [1.0])
+
+    def test_frequencies_must_match_the_profile_rows(self):
+        with pytest.raises(InvalidParameterError, match="2 frequencies for 1 profile rows"):
+            UserPopulation([[0.5, 0.5]], [0.5, 0.5])
 
     def test_rectangular_population_allowed(self):
         profiles = np.array([[0.25, 0.25, 0.25, 0.25]])
-        pop = UserPopulation(1, 4, profiles, np.array([1.0]))
-        assert pop.n_receivers == 4
+        pop = UserPopulation(profiles, np.array([1.0]))
+        assert (pop.n_senders, pop.n_receivers) == (1, 4)
 
 
 class TestFileRoundTrip:
@@ -164,8 +200,26 @@ class TestFileRoundTrip:
             doc["profiles"][1]["contacts"][0]["receiver"] = -1
         path = tmp_path / "pop.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="negative index"):
+        with pytest.raises(ParseError, match=f"{field} must be an integer >= 0, got -1"):
             load_population(path)
+
+    @pytest.mark.parametrize("text, match", MISTYPED_FILES.values(), ids=MISTYPED_FILES.keys())
+    def test_mistyped_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_population(path)
+
+    @pytest.mark.parametrize("text, match", [
+        (population_json(rows=((0, 0, 1.0), (1, 1, 0.9))), "row 1, summing to 0.9"),
+        (population_json(frequencies=(1.0, 1.0)), "frequencies must be probabilities"),
+    ], ids=["row summing to 0.9", "frequencies summing to 2"])
+    def test_population_refusal_is_a_parse_error(self, tmp_path, text, match):
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match) as info:
+            load_population(path)
+        assert isinstance(info.value.__cause__, InvalidParameterError)
 
     @pytest.mark.parametrize("profiles, match", [
         # 0:0.5, 0:0.5, 1:0.5 used to load as the valid row [0.5, 0.5]
@@ -209,8 +263,9 @@ class TestFileRoundTrip:
         path.write_text('{"n_senders": 1, "n_receivers": 2, "frequencies": [1.0], "profiles": '
                         '[{"user": 0, "contacts": [{"receiver": 0, "prob": NaN}, '
                         '{"receiver": 1, "prob": NaN}]}]}')
-        with pytest.raises(InvalidParameterError, match="profile entries"):
+        with pytest.raises(ParseError, match=r"prob must be a number in \[0, 1\], got nan") as info:
             load_population(path)
+        assert isinstance(info.value.__cause__, InvalidParameterError)
 
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "pop.json"
@@ -247,7 +302,7 @@ def populations(draw):
         return v
 
     profiles = np.array([vector(n_r) for _ in range(n_s)])
-    return UserPopulation(n_s, n_r, profiles, vector(n_s))
+    return UserPopulation(profiles, vector(n_s))
 
 
 def json_document(pop):

@@ -22,7 +22,7 @@ U_ZIPF_25 = float(1 - sum(Fraction(1, k * k) for k in range(1, 26)) / (_H25 * _H
 
 def baseline_args(n=100, t=10, rho=10_000, u=U_ZIPF_25):
     f = np.full(n, 1.0 / n)
-    return f, np.full(n, u), u, t, rho
+    return f, np.full(n, u), t, rho
 
 
 class TestThresholdPredictor:
@@ -30,8 +30,14 @@ class TestThresholdPredictor:
         # t=1 kills the cross term; 2 * 0.5 / 1 / 1000 remains
         f = np.array([0.5, 0.5])
         u = np.array([0.5, 0.5])
-        pred = predict_mse_threshold(f, u, 0.5, t=1, rho=1000)
+        pred = predict_mse_threshold(f, u, t=1, rho=1000)
         np.testing.assert_allclose(pred.mse_profile, 0.001, rtol=1e-14)
+
+    def test_u_bar_is_the_frequency_weighted_uniformity(self):
+        # u_bar = 0.25 * 0.4 + 0.75 * 0.8 = 0.7 enters the cross term of every sender
+        pred = predict_mse_threshold(np.array([0.25, 0.75]), np.array([0.4, 0.8]), t=2, rho=1)
+        np.testing.assert_allclose(pred.mse_profile, [3 * 0.5 * 0.7 + 4 * 0.4 / 2,
+                                                      0.5 * 0.7 / 3 + 0.8 / 1.5], rtol=1e-14)
 
     def test_baseline_value(self):
         pred = predict_mse_threshold(*baseline_args())
@@ -41,25 +47,25 @@ class TestThresholdPredictor:
 
     def test_deterministic_profiles_are_free(self):
         f = np.full(4, 0.25)
-        pred = predict_mse_threshold(f, np.zeros(4), 0.0, t=10, rho=100)
+        pred = predict_mse_threshold(f, np.zeros(4), t=10, rho=100)
         assert np.all(pred.mse_profile == 0.0)
 
     def test_rough_regime(self):
-        f, u, ub, t, rho = baseline_args()
-        pred = predict_mse_threshold(f, u, ub, t, rho, regime="rough_approx")
+        f, u, t, rho = baseline_args()
+        pred = predict_mse_threshold(f, u, t, rho, regime="rough_approx")
         np.testing.assert_allclose(pred.mse_profile, 100 / 10_000, rtol=1e-14)
 
     def test_scales_as_one_over_rho(self):
-        f, u, ub, t, rho = baseline_args()
-        a = predict_mse_threshold(f, u, ub, t, rho)
-        b = predict_mse_threshold(f, u, ub, t, 2 * rho)
+        f, u, t, rho = baseline_args()
+        a = predict_mse_threshold(f, u, t, rho)
+        b = predict_mse_threshold(f, u, t, 2 * rho)
         np.testing.assert_allclose(b.mse_profile, a.mse_profile / 2, rtol=1e-14)
         assert b.mse_transition == pytest.approx(a.mse_transition / 2, rel=1e-14)
 
     def test_zero_frequency_marked_unidentifiable(self):
         f = np.array([0.0, 1.0])
         u = np.array([0.5, 0.5])
-        pred = predict_mse_threshold(f, u, 0.5, t=5, rho=100)
+        pred = predict_mse_threshold(f, u, t=5, rho=100)
         assert np.isinf(pred.mse_profile[0])
         assert pred.unidentifiable.tolist() == [True, False]
         assert np.isinf(pred.mse_transition)
@@ -77,9 +83,9 @@ class TestPoolPredictor:
             assert 0 < aq <= ar <= 1
 
     def test_alpha_one_recovers_threshold(self):
-        f, u, ub, t, rho = baseline_args()
-        pool = predict_mse_pool(f, u, ub, t, rho, alpha=1.0)
-        thr = predict_mse_threshold(f, u, ub, t, rho)
+        f, u, t, rho = baseline_args()
+        pool = predict_mse_pool(f, u, t, rho, alpha=1.0)
+        thr = predict_mse_threshold(f, u, t, rho)
         np.testing.assert_array_equal(pool.mse_profile, thr.mse_profile)
         assert pool.alpha_q == 1.0 and pool.alpha_r == 1.0
 
@@ -95,17 +101,16 @@ class TestPoolPredictor:
         weights=hnp.arrays(float, st.integers(1, 40), elements=st.sampled_from([0.0, 0.5, 1.0])
                            | st.floats(1e-6, 1.0)),
         data=st.data(),
-        u_bar=st.floats(0.0, 0.999),
         t=st.integers(1, 200),
         rho=st.integers(1, 10**7),
         regime=st.sampled_from(["exact", "rough_approx"]),
     )
-    def test_threshold_is_pool_at_alpha_one_bit_for_bit(self, weights, data, u_bar, t, rho, regime):
+    def test_threshold_is_pool_at_alpha_one_bit_for_bit(self, weights, data, t, rho, regime):
         weights[0] = max(weights[0], 0.25)  # at least one sender sends
         f = weights / weights.sum()
         u = data.draw(hnp.arrays(float, f.size, elements=st.floats(0.0, 0.999)))
-        thr = predict_mse_threshold(f, u, u_bar, t, rho, regime)
-        pool = predict_mse_pool(f, u, u_bar, t, rho, 1.0, regime)
+        thr = predict_mse_threshold(f, u, t, rho, regime)
+        pool = predict_mse_pool(f, u, t, rho, 1.0, regime)
         assert thr.mse_profile.tobytes() == pool.mse_profile.tobytes()
         assert np.float64(thr.mse_transition).tobytes() == np.float64(pool.mse_transition).tobytes()
 
@@ -114,29 +119,29 @@ class TestPoolPredictor:
         np.testing.assert_allclose(pred.mse_profile, 2.7889416518238872e-2, rtol=1e-12)
 
     def test_rough_regime_and_delay_figures(self):
-        f, u, ub, t, rho = baseline_args()
-        pred = predict_mse_pool(f, u, ub, t, rho, alpha=0.5, regime="rough_approx")
+        f, u, t, rho = baseline_args()
+        pred = predict_mse_pool(f, u, t, rho, alpha=0.5, regime="rough_approx")
         np.testing.assert_allclose(pred.mse_profile, 0.03, rtol=1e-14)
         assert pred.round_penalty == pytest.approx(3.0, rel=1e-15)
         assert pred.mean_delay == pytest.approx(1.0, rel=1e-15)
 
     def test_pool_never_easier_than_threshold(self):
-        f, u, ub, t, rho = baseline_args(n=30)
-        thr = predict_mse_threshold(f, u, ub, t, rho)
+        f, u, t, rho = baseline_args(n=30)
+        thr = predict_mse_threshold(f, u, t, rho)
         for alpha in np.linspace(0.05, 1.0, 25):
-            pool = predict_mse_pool(f, u, ub, t, rho, alpha=alpha)
+            pool = predict_mse_pool(f, u, t, rho, alpha=alpha)
             assert np.all(pool.mse_profile >= thr.mse_profile - 1e-15)
 
     def test_scales_as_one_over_rho(self):
-        f, u, ub, t, rho = baseline_args()
-        a = predict_mse_pool(f, u, ub, t, rho, alpha=0.3)
-        b = predict_mse_pool(f, u, ub, t, 2 * rho, alpha=0.3)
+        f, u, t, rho = baseline_args()
+        a = predict_mse_pool(f, u, t, rho, alpha=0.3)
+        b = predict_mse_pool(f, u, t, 2 * rho, alpha=0.3)
         np.testing.assert_allclose(b.mse_profile, a.mse_profile / 2, rtol=1e-14)
 
     def test_bad_alpha(self):
-        f, u, ub, t, rho = baseline_args(n=4)
+        f, u, t, rho = baseline_args(n=4)
         with pytest.raises(InvalidParameterError):
-            predict_mse_pool(f, u, ub, t, rho, alpha=0.0)
+            predict_mse_pool(f, u, t, rho, alpha=0.0)
 
 
 class TestInputAutocorrelation:
