@@ -1,13 +1,13 @@
 """Disclosure-attack estimators.
 
-All attacks model the expected output counts of receiver ``j`` as
-``A @ r_j`` where ``A`` is the observed input matrix (threshold mix) or the
-expected-departure matrix (pool mix) and ``r_j`` stacks the transition
-probabilities into receiver ``j``.  The least-squares attacks see a trace
+The least-squares attacks model the expected output counts of receiver
+``j`` as ``A @ r_j`` where ``A`` is the observed input matrix (threshold mix)
+or the expected-departure matrix (pool mix) and ``r_j`` stacks the
+transition probabilities into receiver ``j``.  Every attack sees a trace
 only through its :class:`NormalEquations`, built a block of rounds at a
 time: the batch and recursive solvers minimise the squared prediction error
-receiver by receiver; the constrained solver additionally projects every
-sender profile onto the probability simplex.
+receiver by receiver; the constrained solver also projects every sender
+profile onto the probability simplex; the statistical attack reads rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, InvalidScenarioError, ParseError, SingularSystemError,
                      SolverDivergedError, _decode_utf8, _open_utf8, check, choice, integer, real)
-from .mixsim import Trace, _header_fields, _read_blocks
+from .mixsim import THRESHOLD, Trace, _header_fields, _read_blocks
 from .observe import departure_blocks
 from .observe import expected_departures  # noqa: F401  bench/tracing.py wraps it under this module
 
@@ -194,8 +194,8 @@ def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     :class:`SingularSystemError` when the Gram matrix is rank deficient
     unless ``ridge`` enables the diagonal jitter fallback.  The normal
     equations are built once per ``trace`` object, :data:`RLS_BLOCK` rounds
-    at a time, and shared with later :func:`lsda` and :func:`clsda` calls on
-    it.
+    at a time, and shared with later :func:`lsda`, :func:`clsda` and
+    :func:`sda` calls on it.
     """
     eq = _equations(trace)
     p_hat = eq.solve(ridge)
@@ -267,7 +267,7 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     is taken in full, so a converged estimate is a projection.  A run cut by
     ``max_iter`` also ends on the simplices.
     The normal equations are built once per ``trace`` object and shared with
-    :func:`lsda` calls on it.
+    :func:`lsda` and :func:`sda` calls on it.
     """
     if opts is None:
         opts = SolverOptions()
@@ -367,23 +367,26 @@ def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
 
 
 def sda(trace: Trace) -> ProfileEstimate:
-    """Classic statistical disclosure estimate of the first user's profile.
+    """Statistical disclosure estimate of every sender's profile (Danezis 2003).
 
-    Requires the scenario in which user 0 sends exactly one message per
-    observed round while the remaining senders behave uniformly.  The
-    estimate's one row is ``mean_r(y_j) - (t - 1)/N`` per receiver ``j``, with
-    ``t`` the trace's threshold and ``N`` its number of receivers; entries may
-    be negative.  ``iterations`` counts rounds.
+    SDA sends all but sender ``i``'s messages to uniform receivers, so
+    ``E[Y[r]] = U[r, i] * p_i + (t - U[r, i]) / N``.  Weighting round ``r`` by
+    ``U[r, i]`` (Mathewson & Dingledine 2004) gives ``p_i = C_i / G_ii -
+    ((G @ 1)_i - G_ii) / (G_ii * N)`` from the shared ``G`` and ``C``, its last
+    term one division, so that one message from ``i`` in every round gives the
+    classic ``mean_r(Y[r]) - (t - 1) / N`` bit for bit.  A sender with no
+    messages gets the uniform row.  A pool trace, whose ``U`` is not observed,
+    raises :class:`InvalidScenarioError`.  ``iterations`` counts rounds.
     """
-    x_first = trace.U[:, 0]
-    bad = np.nonzero(x_first != 1)[0]
-    if bad.size:
-        raise InvalidScenarioError(
-            f"round {int(bad[0])} has x_0={int(x_first[bad[0]])}; the statistical "
-            "attack needs exactly one message from the target per round"
-        )
-    p = trace.Y.mean(axis=0) - (trace.config.t - 1) / trace.n_receivers
-    return ProfileEstimate(P_hat=p[None, :], method=SDA, iterations=trace.rho)
+    if trace.config.kind != THRESHOLD:
+        raise InvalidScenarioError(f"sda needs a {THRESHOLD} trace, got {trace.config.kind}")
+    eq, n = _equations(trace), trace.n_receivers
+    gii = np.diagonal(eq.gram)
+    heard = gii > 0.0
+    rest = eq.gram.sum(axis=1) - gii
+    p = np.full(eq.cross.shape, 1.0 / n)
+    p[heard] = eq.cross[heard] / gii[heard, None] - (rest[heard] / (gii[heard] * n))[:, None]
+    return ProfileEstimate(P_hat=p, method=SDA, iterations=eq.rounds, residual=eq.residual(p))
 
 
 def zero_clip(est: ProfileEstimate) -> ProfileEstimate:

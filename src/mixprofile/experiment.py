@@ -193,20 +193,11 @@ def _error_label(exc: Exception) -> str:
     return type(exc).__name__
 
 
-def _run_method(method, trace, pop):
-    """Run one attack; returns its per-profile MSE vector."""
-    if method == "lsda":
-        return profile_mse_vector(pop, lsda(trace))
-    if method == "clsda":
-        return profile_mse_vector(pop, clsda(trace))
-    if method == "rls":
-        return profile_mse_vector(pop, rls(trace))
+def _estimate(method, trace):
+    """Run one attack on the trace; zclip clips lsda's estimate."""
     if method == "zclip":
-        return profile_mse_vector(pop, zero_clip(lsda(trace)))
-    # sda, the statistical attack, only estimates the first sender's profile;
-    # its one-entry vector averages over that profile's transitions only
-    diff = pop.profiles[0] - sda(trace).P_hat[0]
-    return np.array([float(diff @ diff)])
+        return zero_clip(lsda(trace))
+    return {"lsda": lsda, "clsda": clsda, "rls": rls, "sda": sda}[method](trace)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -216,8 +207,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     does not grow with the repetition count.  Estimator failures (for
     example a singular system at too few rounds) are recorded in the row's
     ``status`` without aborting the sweep; a failed method is not run again
-    in the cell.  Identical specs produce identical numeric results; only
-    the wall-time column varies between runs.
+    in the cell.  A method cut by its iteration cap in any repetition keeps
+    its error columns under status ``not-converged``.  Identical specs
+    produce identical numeric results; only the wall-time column varies
+    between runs.
     """
     values = spec.sweep_values if spec.sweep_param is not None else (None,)
     sweep_name = spec.sweep_param or "none"
@@ -225,7 +218,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     for vi, value in enumerate(values):
         params = _cell_params(spec, value)
         theory = (float("nan"), float("nan"))
-        runs = {method: [] for method in spec.methods}  # method -> [(MSE vector, seconds)]
+        runs = {method: [] for method in spec.methods}  # [(MSE vector, seconds, converged)]
         failed = {}  # method -> status label of its first failure
         for k in range(spec.repetitions):
             pop = gen_population(params.n_users, params.n_friends, params.profile_dist,
@@ -245,11 +238,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                     continue
                 start = time.perf_counter()
                 try:
-                    vector = _run_method(method, trace, pop)
+                    est = _estimate(method, trace)
+                    vector = profile_mse_vector(pop, est)
                 except MixProfileError as exc:
                     failed[method] = _error_label(exc)
                 else:
-                    runs[method].append((vector, time.perf_counter() - start))
+                    runs[method].append((vector, time.perf_counter() - start, est.converged))
             del trace  # one repetition's trace at a time
 
         for method, done in runs.items():
@@ -258,13 +252,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             if method in failed:
                 row.status = failed[method]
             else:
-                vectors, seconds = zip(*done)
+                vectors, seconds, converged = zip(*done)
                 agg = aggregate_repetitions(vectors, pop.n_receivers)
                 row.mse_p_mean = agg.mse_transition
                 row.mse_p_std = float(agg.per_repetition.std(ddof=1)) if spec.repetitions > 1 else 0.0
                 row.wall_ms = float(np.mean(seconds) * 1e3)
-                if method != "sda":
-                    row.mse_i_mean = [float(v) for v in agg.mse_profile]
+                row.mse_i_mean = [float(v) for v in agg.mse_profile]
+                if not all(converged):
+                    row.status = "not-converged"
             rows.append(row)
 
     metadata = {

@@ -40,16 +40,12 @@ class UserPopulation:
     frequencies: np.ndarray
 
     def __post_init__(self):
+        # checked before the conversion, which refuses ragged rows with a bare ValueError
+        check("profiles", self.profiles, (lambda v: np.asarray(v, dtype=float).ndim == 2
+                                          and np.size(v) > 0,
+                                          "a matrix with at least one row and one column"))
         object.__setattr__(self, "profiles", np.asarray(self.profiles, dtype=float))
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
-        self.validate()
-
-    n_senders = property(lambda self: self.profiles.shape[0])
-    n_receivers = property(lambda self: self.profiles.shape[1])
-
-    def validate(self):
-        check("profiles", self.profiles, (lambda v: v.ndim == 2 and v.size > 0,
-                                          "a matrix with at least one row and one column"))
         if self.frequencies.shape != (self.n_senders,):
             raise InvalidParameterError(f"{self.frequencies.size} frequencies for "
                                         f"{self.n_senders} profile rows")
@@ -58,6 +54,9 @@ class UserPopulation:
             for i, row in enumerate(self.profiles):
                 check(f"profile entries of row {i}, summing to {float(row.sum())!r},", row, rule)
         check("frequencies", self.frequencies, probabilities(SUM_TOL))
+
+    n_senders = property(lambda self: self.profiles.shape[0])
+    n_receivers = property(lambda self: self.profiles.shape[1])
 
 
 def gen_population(

@@ -55,6 +55,15 @@ class TestPipeline:
         figures = [doc[key] for key in ("alpha_q", "alpha_r", "round_penalty", "mean_delay")]
         assert figures == [1.0, 1.0, 1.0, 0.0]
 
+    def test_sda_estimates_every_sender(self, tmp_path):
+        pop_path, trace_path, est_path = (tmp_path / name for name in ("pop.json", "t.txt", "e.txt"))
+        run("gen", "--n-users", 9, "--n-friends", 3, "--seed", 4, "--out", pop_path)
+        run("simulate", "--population", pop_path, "--t", 4, "--rho", 80, "--seed", 5,
+            "--out", trace_path)
+        assert run("attack", "--trace", trace_path, "--method", "sda", "--out", est_path) == 0
+        est = load_estimate(est_path)
+        assert (est.method, est.iterations, est.P_hat.shape) == ("sda", 80, (9, 9))
+
     def test_pool_simulation_and_clsda(self, tmp_path):
         pop_path = tmp_path / "pop.json"
         trace_path = tmp_path / "trace.txt"

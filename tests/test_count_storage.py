@@ -78,10 +78,10 @@ def test_counts_stored_narrow_and_every_result_unchanged(tmp_path, c, given, sto
 
 @pytest.mark.parametrize("c, given, stored", BOUNDARIES)
 def test_sda_unchanged(c, given, stored):
-    # user 0 sends one message a round, so the statistical attack applies
+    # the statistical attack reads threshold traces only
     U = np.array([[1, c - 1]] * 3, dtype=given)
-    Y = np.array([[c, 0], [c - 1, 0], [0, c - 1]], dtype=given)
-    config = MixConfig(kind="binomial_pool", t=c, alpha=0.5)
+    Y = np.array([[c, 0], [c - 1, 1], [1, c - 1]], dtype=given)
+    config = MixConfig(kind="threshold", t=c)
     narrow, wide = Trace(U=U, Y=Y, config=config), int64_trace(U=U, Y=Y, config=config)
     assert narrow.Y.dtype == stored
     assert sda(narrow).P_hat.tobytes() == sda(wide).P_hat.tobytes()

@@ -566,9 +566,14 @@ class TestSda:
         Y[:, 3] = 1
         trace = make_trace(U, Y)
         est = sda(trace)
-        assert (est.method, est.iterations, est.P_hat.shape) == ("sda", 5, (1, 10))
+        assert (est.method, est.iterations, est.P_hat.shape) == ("sda", 5, (10, 10))
         assert est.P_hat[0, 0] == pytest.approx(1 - 0.1, abs=1e-15)
         assert est.P_hat[0, 5] == pytest.approx(-0.1, abs=1e-15)
+        # sender 1 sends as sender 0 does; senders 2..9 send nothing and get the uniform row
+        np.testing.assert_array_equal(est.P_hat[1], est.P_hat[0])
+        np.testing.assert_array_equal(est.P_hat[2:], np.full((8, 10), 0.1))
+        resid = np.sum((Y - U @ est.P_hat) ** 2)
+        assert est.residual == pytest.approx(resid, rel=1e-12)
 
     def test_t_one_counts_only_target_messages(self):
         U = np.zeros((5, 10), dtype=int)
@@ -580,13 +585,11 @@ class TestSda:
         est = sda(trace)
         assert est.P_hat[0, 2] == pytest.approx(0.6, abs=1e-15)
 
-    def test_rejects_round_without_single_target_message(self):
-        U = np.ones((3, 2), dtype=int)
-        U[1] = [2, 0]
-        Y = np.ones((3, 2), dtype=int)
-        trace = make_trace(U, Y)
-        with pytest.raises(InvalidScenarioError, match="round 1"):
-            sda(trace)
+    def test_rejects_pool_trace(self, monkeypatch):
+        seen = departure_calls(monkeypatch)
+        with pytest.raises(InvalidScenarioError, match="sda needs a threshold trace"):
+            sda(small_pool_trace())
+        assert seen == []  # refused before any statistics are built
 
     def test_old_call_with_t_and_n_users_fails_loudly(self):
         U = np.zeros((3, 2), dtype=int)
@@ -598,6 +601,26 @@ class TestSda:
         trace, profile = sda_scenario_trace(n_users=20, n_contacts=4, t=5, rho=20_000, seed=2)
         est = sda(trace)
         assert np.sum((est.P_hat[0] - profile) ** 2) < 0.01
+
+    def test_every_sender_weighs_rounds_by_its_count(self):
+        # the uniform-background model summed over rounds, from U and Y directly
+        _, trace = random_trace(n_users=9, t=4, rho=300, seed=11)
+        U, Y, t, n = trace.U.astype(float), trace.Y.astype(float), 4, trace.n_receivers
+        weight = (U**2).sum(axis=0)
+        want = (U.T @ Y - (U * (t - U)).sum(axis=0)[:, None] / n) / weight[:, None]
+        np.testing.assert_allclose(sda(trace).P_hat, want, rtol=1e-12, atol=1e-15)
+
+    def test_error_stays_above_lsda(self):
+        # measured on these traces: sda's MSE is 4.45-4.97 times lsda's
+        mses = []  # [sda, lsda] per seed
+        for seed in range(3):
+            pop = gen_population(100, 25, "zipf", "uniform", seed=seed)
+            trace = simulate_trace(pop, MixConfig(kind="threshold", t=10), 5000,
+                                   seed=seed + 100, record_ground_truth=False)
+            mses.append([np.mean((pop.profiles - est.P_hat) ** 2)
+                         for est in (sda(trace), lsda(trace))])
+        sda_mse, lsda_mse = np.mean(mses, axis=0)
+        assert sda_mse / lsda_mse > 3.0
 
 
 def departure_calls(monkeypatch):
@@ -620,7 +643,11 @@ class TestSharedNormalEquations:
         lsda(trace)
         clsda(trace)
         zero_clip(lsda(trace, ridge=True))
-        assert len(seen) == 1 and seen[0] is trace
+        _, threshold = random_trace(n_users=12, t=5, rho=400, seed=5)
+        lsda(threshold)
+        clsda(threshold)
+        sda(threshold)
+        assert seen == [trace, threshold]
 
     def test_shared_statistics_give_the_fresh_estimates(self):
         first, again = small_pool_trace(), small_pool_trace()

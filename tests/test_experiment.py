@@ -13,6 +13,7 @@ from mixprofile import (
     NormalEquations,
     ParseError,
     SingularSystemError,
+    SolverOptions,
     Trace,
     load_spec,
     run_experiment,
@@ -166,13 +167,28 @@ class TestRunExperiment:
 
     def test_estimator_failure_recorded_not_raised(self):
         # rho < n_users leaves the normal equations singular
-        spec = tiny_spec(rho=5, repetitions=1, methods=("lsda", "sda"))
+        spec = tiny_spec(rho=5, repetitions=1, methods=("lsda", "sda"), mix_kind="binomial_pool",
+                         alpha=0.6, m=4)
         report = run_experiment(spec)
         by_method = {row.method: row for row in report.rows}
         assert by_method["lsda"].status == "singular-system"
         assert np.isnan(by_method["lsda"].mse_p_mean)
-        # multinomial senders essentially never give the sda scenario
+        # sda reads the observed counts of a threshold mix only
         assert by_method["sda"].status == "invalid-scenario"
+
+    def test_sda_rows_carry_per_sender_errors(self):
+        rows = run_experiment(tiny_spec(methods=("lsda", "sda"))).rows
+        assert [(row.method, row.status) for row in rows] == [("lsda", "ok"), ("sda", "ok")]
+        assert len(rows[1].mse_i_mean) == 10
+        assert rows[1].mse_p_mean == pytest.approx(np.mean(rows[1].mse_i_mean) / 10, rel=1e-12)
+
+    def test_a_capped_solver_is_recorded_not_converged(self, monkeypatch):
+        solve = mixprofile.experiment.clsda
+        monkeypatch.setattr(mixprofile.experiment, "clsda",
+                            lambda trace: solve(trace, SolverOptions(max_iter=1)))
+        (row,) = run_experiment(tiny_spec(methods=("clsda",))).rows
+        assert row.status == "not-converged"
+        assert np.isfinite(row.mse_p_mean) and len(row.mse_i_mean) == 10
 
     def test_diverging_solver_recorded_not_raised(self, monkeypatch):
         # a step ten times too long trips clsda's objective-increase guard
@@ -211,7 +227,8 @@ class TestRunExperiment:
         assert peak(6) <= 1.5 * peak(1)
 
     def test_a_failing_method_leaves_the_other_rows_alone(self):
-        spec = tiny_spec(repetitions=3, sweep_param="rho", sweep_values=(200, 400))
+        spec = tiny_spec(repetitions=3, sweep_param="rho", sweep_values=(200, 400),
+                         mix_kind="binomial_pool", alpha=0.6, m=4)
         alone = run_experiment(spec).rows
         paired = run_experiment(replace(spec, methods=("lsda", "sda"))).rows
         assert [row.method for row in paired] == ["lsda", "sda"] * 2

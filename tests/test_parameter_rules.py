@@ -95,6 +95,8 @@ ROWS = {
                                        "profiles must be a matrix with at least one row and one"),
     "UserPopulation no receivers": (lambda _: UserPopulation(np.zeros((1, 0)), [1.0]),
                                     "profiles must be a matrix with at least one row and one"),
+    "UserPopulation ragged profiles": (lambda _: UserPopulation([[0.5, 0.5], [1.0]], [0.5, 0.5]),
+                                       "profiles must be a matrix with at least one row and one"),
     "Trace string counts": (lambda _: Trace(np.array([["2"]]), np.array([[2]]), MixConfig(t=2)),
                             "U counts must be integers or floats, not dtype <U1"),
     "Trace bool counts": (lambda _: Trace(np.array([[True]]), np.array([[1]]), MixConfig(t=1)),
