@@ -98,6 +98,9 @@ def _cmd_attack(args) -> int:
         f"{args.method}: iterations={est.iterations} residual={est.residual:.6g} "
         f"converged={est.converged}; wrote {args.out}"
     )
+    if not est.converged:
+        print(f"warning: {args.method} did not converge in {est.iterations} iterations",
+              file=sys.stderr)
     return 0
 
 

@@ -114,7 +114,8 @@ class NormalEquations:
     split of a trace into blocks gives the same sums, exactly for integer ``A``.
     :meth:`from_trace` is the one way the attacks build them: a block of rounds
     at a time, so that neither ``U_hat`` nor a float copy of ``Y`` is ever
-    held whole.
+    held whole.  Change them only through :meth:`update`, which drops the
+    solutions :meth:`solve` keeps.
     """
 
     def __init__(self, n_senders: int, n_receivers: int):
@@ -122,6 +123,7 @@ class NormalEquations:
         self.cross = np.zeros((n_senders, n_receivers))
         self.y_sq = 0.0
         self.rounds = 0
+        self._solved = {}  # ridge -> the solution of gram @ P = cross, until the next update
 
     @classmethod
     def from_trace(cls, trace: Trace) -> NormalEquations:
@@ -157,10 +159,14 @@ class NormalEquations:
         self.cross += a.T @ y
         self.y_sq += float(np.vdot(y, y))
         self.rounds += a.shape[0]
+        self._solved.clear()
 
     def solve(self, ridge: bool = False) -> np.ndarray:
-        """Solve ``gram @ P = cross`` for every receiver at once, after the rank check."""
-        return np.linalg.solve(_checked_gram(self.gram, ridge), self.cross)
+        """Solve ``gram @ P = cross`` for every receiver at once, after the rank check; the
+        solution is kept for each ``ridge`` until :meth:`update`, and each call gets a copy."""
+        if ridge not in self._solved:
+            self._solved[ridge] = np.linalg.solve(_checked_gram(self.gram, ridge), self.cross)
+        return self._solved[ridge].copy()
 
     def residual(self, p: np.ndarray, gp: np.ndarray | None = None) -> float:
         """``||Y - A @ p||_F**2`` in Gram form, clamped at 0; ``gp`` may pass ``gram @ p``."""
@@ -194,8 +200,8 @@ def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     :class:`SingularSystemError` when the Gram matrix is rank deficient
     unless ``ridge`` enables the diagonal jitter fallback.  The normal
     equations are built once per ``trace`` object, :data:`RLS_BLOCK` rounds
-    at a time, and shared with later :func:`lsda`, :func:`clsda` and
-    :func:`sda` calls on it.
+    at a time, and shared with later :func:`lsda`, :func:`clsda`, :func:`rls`
+    and :func:`sda` calls on it, as is their solution for each ``ridge``.
     """
     eq = _equations(trace)
     p_hat = eq.solve(ridge)
@@ -266,8 +272,8 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     projected step with ``|D| / |P_k|`` at most ``tol`` sets ``converged``; it
     is taken in full, so a converged estimate is a projection.  A run cut by
     ``max_iter`` also ends on the simplices.
-    The normal equations are built once per ``trace`` object and shared with
-    :func:`lsda` and :func:`sda` calls on it.
+    The normal equations and their unconstrained solution are those
+    :func:`lsda` shares for the same ``trace`` object.
     """
     if opts is None:
         opts = SolverOptions()
@@ -355,13 +361,11 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
 def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     """Recursive least-squares estimate: the trace streamed in blocks of rounds.
 
-    Feeds :data:`RLS_BLOCK` rounds at a time into :class:`NormalEquations`
-    and solves once at the end.  This is the path :func:`lsda` takes too;
-    ``rls`` differs only in building its own statistics, never shared, and in
-    ``iterations``, which counts rounds.  So it equals :func:`lsda` exactly
-    unless :data:`RLS_BLOCK` changes between the two builds.
+    Reads the shared :class:`NormalEquations`, fed :data:`RLS_BLOCK` rounds at
+    a time, and their solution, so it equals :func:`lsda` bit for bit; only
+    ``iterations`` differs, counting rounds.
     """
-    eq = NormalEquations.from_trace(trace)
+    eq = _equations(trace)
     p = eq.solve(ridge)
     return ProfileEstimate(P_hat=p, method=RLS, iterations=eq.rounds, residual=eq.residual(p))
 
@@ -402,13 +406,8 @@ def zero_clip(est: ProfileEstimate) -> ProfileEstimate:
     p = p / sums[:, None]
     if np.any(zero):
         p[zero] = 1.0 / p.shape[1]
-    return ProfileEstimate(
-        P_hat=p,
-        method=ZCLIP,
-        iterations=est.iterations,
-        residual=float("nan"),
-        converged=est.converged,
-    )
+    return ProfileEstimate(P_hat=p, method=ZCLIP, iterations=est.iterations,
+                           converged=est.converged)
 
 
 def save_estimate(est: ProfileEstimate, path) -> None:

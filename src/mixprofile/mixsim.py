@@ -138,17 +138,9 @@ class Trace:
             object.__setattr__(self, name, counts)
         self.validate()
 
-    @property
-    def rho(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def n_senders(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def n_receivers(self) -> int:
-        return self.Y.shape[1]
+    rho = property(lambda self: self.U.shape[0])
+    n_senders = property(lambda self: self.U.shape[1])
+    n_receivers = property(lambda self: self.Y.shape[1])
 
     @property
     def final_pool_size(self) -> int:

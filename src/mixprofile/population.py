@@ -40,10 +40,13 @@ class UserPopulation:
     frequencies: np.ndarray
 
     def __post_init__(self):
-        # checked before the conversion, which refuses ragged rows with a bare ValueError
+        # checked before the conversions, which refuse ragged rows and strings with a bare ValueError
         check("profiles", self.profiles, (lambda v: np.asarray(v, dtype=float).ndim == 2
                                           and np.size(v) > 0,
-                                          "a matrix with at least one row and one column"))
+                                          "a matrix with at least one row and one column, "
+                                          "every entry a number"))
+        check("frequencies", self.frequencies, (lambda v: np.asarray(v, dtype=float).ndim == 1,
+                                                "a vector of numbers"))
         object.__setattr__(self, "profiles", np.asarray(self.profiles, dtype=float))
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
         if self.frequencies.shape != (self.n_senders,):

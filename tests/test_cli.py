@@ -80,6 +80,21 @@ class TestPipeline:
         est = load_estimate(est_path)
         np.testing.assert_allclose(est.P_hat.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_unconverged_attack_warns_on_stderr(self, tmp_path, capsys):
+        pop_path, trace_path, est_path = (tmp_path / name for name in ("pop.json", "t.txt", "e.txt"))
+        run("gen", "--n-users", 8, "--n-friends", 3, "--seed", 1, "--out", pop_path)
+        run("simulate", "--population", pop_path, "--t", 4, "--rho", 150, "--seed", 2,
+            "--out", trace_path)
+        capsys.readouterr()
+        assert run("attack", "--trace", trace_path, "--method", "clsda", "--max-iter", 1,
+                   "--out", est_path) == 0
+        out, err = capsys.readouterr()
+        assert "converged=False" in out
+        assert err == "warning: clsda did not converge in 1 iterations\n"
+        assert load_estimate(est_path).converged is False
+        assert run("attack", "--trace", trace_path, "--method", "clsda", "--out", est_path) == 0
+        assert capsys.readouterr().err == ""
+
     def test_attack_error_reported(self, tmp_path, capsys):
         pop_path = tmp_path / "pop.json"
         trace_path = tmp_path / "trace.txt"

@@ -657,13 +657,47 @@ class TestSharedNormalEquations:
         np.testing.assert_array_equal(shared.P_hat, fresh.P_hat)
         np.testing.assert_array_equal(shared.objective_history, fresh.objective_history)
 
-    def test_rls_streams_its_own(self, monkeypatch):
+    def test_every_attack_shares_one_build_and_one_solve_per_ridge(self, monkeypatch):
         seen = departure_calls(monkeypatch)
-        trace = small_pool_trace()
-        lsda(trace)
-        rls(trace)
-        rls(trace)
-        assert len(seen) == 3
+        solves = []
+        solve = np.linalg.solve
+
+        def record(a, b):
+            solves.append(a)
+            return solve(a, b)
+
+        _, trace = random_trace(n_users=12, t=5, rho=400, seed=5)
+        monkeypatch.setattr(np.linalg, "solve", record)
+        batch, streamed = lsda(trace), rls(trace)
+        zero_clip(lsda(trace))
+        clsda(trace)
+        sda(trace)
+        assert (len(seen), len(solves)) == (1, 1)
+        lsda(trace, ridge=True)
+        rls(trace, ridge=True)
+        zero_clip(lsda(trace, ridge=True))
+        assert (len(seen), len(solves)) == (1, 2)
+        # C7 bit for bit: rls is lsda with rounds for iterations
+        np.testing.assert_array_equal(streamed.P_hat, batch.P_hat)
+        assert (streamed.iterations, streamed.residual) == (trace.rho, batch.residual)
+
+    def test_update_after_solve_gives_a_fresh_build_s_solution(self):
+        _, trace = random_trace(n_users=8, t=4, rho=300, seed=9)
+        eq = NormalEquations(trace.n_senders, trace.n_receivers)
+        eq.update(trace.U[:150], trace.Y[:150])
+        first = eq.solve()
+        eq.update(trace.U[150:], trace.Y[150:])
+        whole = NormalEquations.from_trace(trace).solve()
+        np.testing.assert_array_equal(eq.solve(), whole)
+        assert not np.array_equal(first, whole)
+
+    def test_writing_into_an_estimate_changes_no_later_one(self):
+        trace, fresh = small_pool_trace(), small_pool_trace()
+        lsda(trace).P_hat[:] = 7.0
+        rls(trace).P_hat[:] = 7.0
+        estimators._equations(trace).solve()[:] = 7.0
+        np.testing.assert_array_equal(lsda(trace).P_hat, lsda(fresh).P_hat)
+        np.testing.assert_array_equal(clsda(trace).P_hat, clsda(small_pool_trace()).P_hat)
 
     def test_entry_dies_with_its_trace(self):
         trace = small_pool_trace()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mixprofile import InvalidParameterError, NormalEquations, expected_departures, lsda, rls
+from mixprofile import InvalidParameterError, NormalEquations, expected_departures, lsda
 from mixprofile import estimators
 from mixprofile.observe import BLOCK
 
@@ -84,13 +84,13 @@ def test_lsda_is_equivariant_under_user_permutation(trace, data):
 
 @PROPERTY
 @given(trace=traces(), block=st.integers(1, 16))
-def test_rls_equals_lsda(trace, block):
+def test_any_block_size_solves_as_the_whole_trace(trace, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "RLS_BLOCK", block)
-        streamed = rls(trace)
-    batch = lsda(trace)
-    assert streamed.iterations == trace.rho
-    np.testing.assert_allclose(streamed.P_hat, batch.P_hat, rtol=0, atol=1e-10)
+        streamed = NormalEquations.from_trace(trace)
+    assert streamed.rounds == trace.rho
+    np.testing.assert_allclose(streamed.solve(), whole_trace_statistics(trace).solve(), rtol=0,
+                               atol=1e-10)
 
 
 def test_residual_matches_full_height_form():

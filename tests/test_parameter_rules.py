@@ -97,6 +97,13 @@ ROWS = {
                                     "profiles must be a matrix with at least one row and one"),
     "UserPopulation ragged profiles": (lambda _: UserPopulation([[0.5, 0.5], [1.0]], [0.5, 0.5]),
                                        "profiles must be a matrix with at least one row and one"),
+    "UserPopulation string profiles": (lambda _: UserPopulation([["a", "b"]], [1.0]),
+                                       "profiles must be .*, every entry a number"),
+    "UserPopulation ragged frequencies": (
+        lambda _: UserPopulation([[1.0], [1.0]], [[0.5], [0.5, 0.0]]),
+        "frequencies must be a vector of numbers"),
+    "UserPopulation string frequencies": (lambda _: UserPopulation([[1.0]], ["x"]),
+                                          "frequencies must be a vector of numbers"),
     "Trace string counts": (lambda _: Trace(np.array([["2"]]), np.array([[2]]), MixConfig(t=2)),
                             "U counts must be integers or floats, not dtype <U1"),
     "Trace bool counts": (lambda _: Trace(np.array([[True]]), np.array([[1]]), MixConfig(t=1)),
