@@ -13,6 +13,7 @@ from .estimators import (
     LSDA,
     METHODS,
     RLS,
+    SDA,
     ZCLIP,
     SolverOptions,
     clsda,
@@ -41,17 +42,17 @@ def _out(parser: argparse.ArgumentParser, formats: bool = False):
 
 
 class _Given(argparse.Action):
-    """Store a flag's value (``const`` for a flag without one) and note the flag in ``given``."""
+    """Store a flag's value and note the flag in ``given``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        setattr(namespace, self.dest, values)
         namespace.given = (*namespace.given, option_string)
 
 
 #: the flags that only some choices of ``--method`` (``attack``) or ``--kind`` (``simulate``,
 #: ``predict``) read, with the choices that read each
-_READERS = {"--ridge": (LSDA, RLS, ZCLIP), "--max-iter": (CLSDA,), "--tol": (CLSDA,),
-            "--alpha": (BINOMIAL_POOL, "pool"), "--m": (BINOMIAL_POOL,)}
+_READERS = {"--max-iter": (CLSDA,), "--tol": (CLSDA,), "--alpha": (BINOMIAL_POOL, "pool"),
+            "--m": (BINOMIAL_POOL,)}
 
 
 def _check_given(args, selector: str) -> None:
@@ -83,16 +84,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_attack(args) -> int:
     _check_given(args, "method")
     trace = load_trace(args.trace)
-    if args.method == "lsda":
-        est = lsda(trace, ridge=args.ridge)
-    elif args.method == "clsda":
+    if args.method == CLSDA:
         est = clsda(trace, SolverOptions(max_iter=args.max_iter, tol=args.tol))
-    elif args.method == "rls":
-        est = rls(trace, ridge=args.ridge)
-    elif args.method == "zclip":
-        est = zero_clip(lsda(trace, ridge=args.ridge))
+    elif args.method == ZCLIP:
+        est = zero_clip(lsda(trace))
     else:
-        est = sda(trace)
+        est = {LSDA: lsda, RLS: rls, SDA: sda}[args.method](trace)
     save_estimate(est, args.out)
     print(
         f"{args.method}: iterations={est.iterations} residual={est.residual:.6g} "
@@ -196,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--method", choices=METHODS, default=LSDA)
-    p.add_argument("--ridge", action=_Given, nargs=0, const=True, default=False,
-                   help="lsda, rls and zclip: regularize singular systems")
     solver = SolverOptions()
     p.add_argument(
         "--max-iter", action=_Given, type=int, default=solver.max_iter,

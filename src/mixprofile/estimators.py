@@ -30,8 +30,6 @@ SDA = "sda"
 ZCLIP = "zclip"
 METHODS = (LSDA, CLSDA, RLS, SDA, ZCLIP)
 
-#: relative diagonal jitter applied when the explicit ridge fallback is enabled
-RIDGE_SCALE = 1e-10
 #: rounds per block of :meth:`NormalEquations.from_trace`, for every least-squares attack; 256
 #: builds 300-user pool statistics about 15% slower than 512 to 2,048
 RLS_BLOCK = 1024
@@ -80,28 +78,29 @@ class SolverOptions:
         check("tol", self.tol, real(0, np.inf, "()", "finite and positive"))
 
 
-def _checked_gram(gram: np.ndarray, ridge: bool) -> np.ndarray:
-    """The Gram matrix to solve with, once its Cholesky factor shows full rank.
+def _check_rank(gram: np.ndarray) -> None:
+    """Raise :class:`SingularSystemError` unless a Cholesky factor of ``gram`` shows full rank.
 
     LAPACK can report success on an exactly singular matrix with a rounding-
-    level pivot, so the factor diagonal is checked explicitly.  A rank-
-    deficient matrix raises :class:`SingularSystemError` unless ``ridge``
-    enables the diagonal jitter fallback, which returns ``gram + jitter * I``.
+    level pivot, so the factor diagonal is checked explicitly.  The error gives
+    the rank and names the senders the trace does not identify: those with a
+    share above ``sqrt(n * eps)`` in the null space of one symmetric SVD.  A
+    factor that fails the check has ``lambda_min <= n * eps * lambda_max``, so
+    the weakest direction is in that null space, also where rounding says not.
     """
-    n = gram.shape[0]
+    n, eps = gram.shape[0], np.finfo(float).eps
+    tol = np.sqrt(n * eps)
     try:
         diag = np.abs(np.diagonal(np.linalg.cholesky(gram)))
-        if diag.min() > diag.max() * np.sqrt(n * np.finfo(float).eps):
-            return gram
+        if diag.min() > diag.max() * tol:
+            return
     except np.linalg.LinAlgError:
         pass
-    if not ridge:
-        rank = int(np.linalg.matrix_rank(gram))
-        raise SingularSystemError(f"gram matrix is rank deficient: rank {rank} of {n}")
-    jitter = RIDGE_SCALE * float(np.trace(gram)) / n
-    jittered = gram + jitter * np.eye(n)
-    np.linalg.cholesky(jittered)  # raises LinAlgError if even the jitter leaves it indefinite
-    return jittered
+    _, s, vh = np.linalg.svd(gram, hermitian=True)  # s descending
+    rank = min(int(np.count_nonzero(s > s[0] * n * eps)), n - 1)
+    senders = np.flatnonzero(np.sum(vh[rank:] ** 2, axis=0) > tol).tolist()
+    raise SingularSystemError(f"gram matrix is rank deficient: rank {rank} of {n}; "
+                              f"senders {senders} are not identified by this trace")
 
 
 class NormalEquations:
@@ -115,7 +114,7 @@ class NormalEquations:
     :meth:`from_trace` is the one way the attacks build them: a block of rounds
     at a time, so that neither ``U_hat`` nor a float copy of ``Y`` is ever
     held whole.  Change them only through :meth:`update`, which drops the
-    solutions :meth:`solve` keeps.
+    solution :meth:`solve` keeps.
     """
 
     def __init__(self, n_senders: int, n_receivers: int):
@@ -123,7 +122,7 @@ class NormalEquations:
         self.cross = np.zeros((n_senders, n_receivers))
         self.y_sq = 0.0
         self.rounds = 0
-        self._solved = {}  # ridge -> the solution of gram @ P = cross, until the next update
+        self._solved = None  # the solution of gram @ P = cross, until the next update
 
     @classmethod
     def from_trace(cls, trace: Trace) -> NormalEquations:
@@ -159,14 +158,15 @@ class NormalEquations:
         self.cross += a.T @ y
         self.y_sq += float(np.vdot(y, y))
         self.rounds += a.shape[0]
-        self._solved.clear()
+        self._solved = None
 
-    def solve(self, ridge: bool = False) -> np.ndarray:
+    def solve(self) -> np.ndarray:
         """Solve ``gram @ P = cross`` for every receiver at once, after the rank check; the
-        solution is kept for each ``ridge`` until :meth:`update`, and each call gets a copy."""
-        if ridge not in self._solved:
-            self._solved[ridge] = np.linalg.solve(_checked_gram(self.gram, ridge), self.cross)
-        return self._solved[ridge].copy()
+        solution is kept until :meth:`update`, and each call gets a copy."""
+        if self._solved is None:
+            _check_rank(self.gram)
+            self._solved = np.linalg.solve(self.gram, self.cross)
+        return self._solved.copy()
 
     def residual(self, p: np.ndarray, gp: np.ndarray | None = None) -> float:
         """``||Y - A @ p||_F**2`` in Gram form, clamped at 0; ``gp`` may pass ``gram @ p``."""
@@ -191,20 +191,20 @@ def _equations(trace: Trace) -> NormalEquations:
     return eq
 
 
-def lsda(trace: Trace, ridge: bool = False) -> ProfileEstimate:
+def lsda(trace: Trace) -> ProfileEstimate:
     """Unconstrained least-squares profile estimate.
 
     Solves the normal equations ``(A.T @ A) r_j = A.T @ y_j`` for every
     receiver ``j`` in one solve shared across receivers, after a Cholesky
-    factorization has checked the Gram matrix's rank.  Raises
-    :class:`SingularSystemError` when the Gram matrix is rank deficient
-    unless ``ridge`` enables the diagonal jitter fallback.  The normal
-    equations are built once per ``trace`` object, :data:`RLS_BLOCK` rounds
-    at a time, and shared with later :func:`lsda`, :func:`clsda`, :func:`rls`
-    and :func:`sda` calls on it, as is their solution for each ``ridge``.
+    factorization has checked the Gram matrix's rank.  A rank-deficient Gram
+    matrix raises :class:`SingularSystemError`, which names the senders the
+    trace does not identify.  The normal equations are built once per
+    ``trace`` object, :data:`RLS_BLOCK` rounds at a time, and shared with
+    later :func:`lsda`, :func:`clsda`, :func:`rls` and :func:`sda` calls on
+    it, as is their solution.
     """
     eq = _equations(trace)
-    p_hat = eq.solve(ridge)
+    p_hat = eq.solve()
     return ProfileEstimate(P_hat=p_hat, method=LSDA, iterations=1, residual=eq.residual(p_hat))
 
 
@@ -358,7 +358,7 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     )
 
 
-def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
+def rls(trace: Trace) -> ProfileEstimate:
     """Recursive least-squares estimate: the trace streamed in blocks of rounds.
 
     Reads the shared :class:`NormalEquations`, fed :data:`RLS_BLOCK` rounds at
@@ -366,7 +366,7 @@ def rls(trace: Trace, ridge: bool = False) -> ProfileEstimate:
     ``iterations`` differs, counting rounds.
     """
     eq = _equations(trace)
-    p = eq.solve(ridge)
+    p = eq.solve()
     return ProfileEstimate(P_hat=p, method=RLS, iterations=eq.rounds, residual=eq.residual(p))
 
 

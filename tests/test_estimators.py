@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from mixprofile import (
     SolverDivergedError,
     SolverOptions,
     Trace,
+    UserPopulation,
     clsda,
     gen_population,
     load_estimate,
@@ -109,6 +111,13 @@ def small_pool_trace():
     return trace
 
 
+def unheard_sender_trace():
+    """A 4-sender threshold trace (t=3, rho=400) in which sender 3 never sends."""
+    pop = gen_population(4, 2, "zipf", "uniform", seed=0)
+    pop = UserPopulation(pop.profiles, np.array([1.0, 1.0, 1.0, 0.0]) / 3)
+    return simulate_trace(pop, MixConfig(kind="threshold", t=3), 400, seed=1)
+
+
 def zipf_pool_trace():
     """A pool trace whose Zipf sending frequencies make the Gram ill-conditioned."""
     pop = gen_population(12, 4, "zipf", "zipf", seed=5)
@@ -164,16 +173,23 @@ class TestLsda:
         gradient = a.T @ (trace.Y - a @ est.P_hat)
         assert np.max(np.abs(gradient)) <= 1e-8
 
-    def test_rank_deficient_gram_raises(self):
+    @pytest.mark.parametrize("build, rank, senders", [
         # two senders always transmitting together: duplicated columns
-        trace = make_trace(U=[[1, 1], [1, 1]], Y=[[1, 1], [2, 0]])
-        with pytest.raises(SingularSystemError, match="rank"):
-            lsda(trace)
-
-    def test_ridge_fallback_returns_estimate(self):
-        trace = make_trace(U=[[1, 1], [1, 1]], Y=[[1, 1], [2, 0]])
-        est = lsda(trace, ridge=True)
-        assert np.all(np.isfinite(est.P_hat))
+        pytest.param(lambda: make_trace(U=[[1, 1], [1, 1]], Y=[[1, 1], [2, 0]]), "1 of 2", [0, 1],
+                     id="duplicated"),
+        pytest.param(unheard_sender_trace, "3 of 4", [3], id="unheard"),
+    ])
+    def test_rank_deficient_gram_raises(self, build, rank, senders):
+        trace = build()
+        message = f"rank {rank}; senders {senders} are not identified by this trace"
+        for attack in (lsda, rls, lambda t: zero_clip(lsda(t))):
+            with pytest.raises(SingularSystemError, match=re.escape(message)):
+                attack(trace)
+        start, est = clsda(trace, SolverOptions(max_iter=0)), clsda(trace)
+        uniform = np.full(start.P_hat.shape, 1.0 / trace.n_receivers)
+        np.testing.assert_array_equal(start.P_hat, uniform)
+        assert np.all(est.P_hat >= 0.0)
+        np.testing.assert_allclose(est.P_hat.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_kronecker_equivalence_small_cases(self):
         # the decoupled solves must match the explicit stacked pseudoinverse
@@ -642,7 +658,7 @@ class TestSharedNormalEquations:
         trace = small_pool_trace()
         lsda(trace)
         clsda(trace)
-        zero_clip(lsda(trace, ridge=True))
+        zero_clip(lsda(trace))
         _, threshold = random_trace(n_users=12, t=5, rho=400, seed=5)
         lsda(threshold)
         clsda(threshold)
@@ -657,7 +673,7 @@ class TestSharedNormalEquations:
         np.testing.assert_array_equal(shared.P_hat, fresh.P_hat)
         np.testing.assert_array_equal(shared.objective_history, fresh.objective_history)
 
-    def test_every_attack_shares_one_build_and_one_solve_per_ridge(self, monkeypatch):
+    def test_every_attack_shares_one_build_and_one_solve_per_trace(self, monkeypatch):
         seen = departure_calls(monkeypatch)
         solves = []
         solve = np.linalg.solve
@@ -673,10 +689,6 @@ class TestSharedNormalEquations:
         clsda(trace)
         sda(trace)
         assert (len(seen), len(solves)) == (1, 1)
-        lsda(trace, ridge=True)
-        rls(trace, ridge=True)
-        zero_clip(lsda(trace, ridge=True))
-        assert (len(seen), len(solves)) == (1, 2)
         # C7 bit for bit: rls is lsda with rounds for iterations
         np.testing.assert_array_equal(streamed.P_hat, batch.P_hat)
         assert (streamed.iterations, streamed.residual) == (trace.rho, batch.residual)
