@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .errors import (
     EmptyLogError,
@@ -22,7 +22,6 @@ from .errors import (
 from .estimators import (
     NormalEquations,
     ProfileEstimate,
-    SolverOptions,
     clsda,
     load_estimate,
     lsda,

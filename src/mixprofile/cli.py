@@ -15,7 +15,6 @@ from .estimators import (
     RLS,
     SDA,
     ZCLIP,
-    SolverOptions,
     clsda,
     lsda,
     rls,
@@ -42,25 +41,23 @@ def _out(parser: argparse.ArgumentParser, formats: bool = False):
 
 
 class _Given(argparse.Action):
-    """Store a flag's value and note the flag in ``given``."""
+    """Store a flag that only some ``--kind`` choices read, and note it in ``given``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         namespace.given = (*namespace.given, option_string)
 
 
-#: the flags that only some choices of ``--method`` (``attack``) or ``--kind`` (``simulate``,
-#: ``predict``) read, with the choices that read each
-_READERS = {"--max-iter": (CLSDA,), "--tol": (CLSDA,), "--alpha": (BINOMIAL_POOL, "pool"),
-            "--m": (BINOMIAL_POOL,)}
+#: the flags that only some choices of ``--kind`` (``simulate``, ``predict``) read, with the
+#: choices that read each
+_READERS = {"--alpha": (BINOMIAL_POOL, "pool"), "--m": (BINOMIAL_POOL,)}
 
 
-def _check_given(args, selector: str) -> None:
-    """Reject each flag in ``args.given`` that the choice of ``--<selector>`` does not read."""
-    choice = getattr(args, selector)
+def _check_given(args) -> None:
+    """Reject each flag in ``args.given`` that the choice of ``--kind`` does not read."""
     for flag in args.given:
-        if choice not in _READERS[flag]:
-            raise InvalidParameterError(f"--{selector} {choice} does not read {flag}")
+        if args.kind not in _READERS[flag]:
+            raise InvalidParameterError(f"--kind {args.kind} does not read {flag}")
 
 
 def _cmd_gen(args) -> int:
@@ -71,7 +68,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_given(args, "kind")
+    _check_given(args)
     pop = load_population(args.population)
     prior = pop.frequencies if (args.kind == BINOMIAL_POOL and args.m > 0) else None
     config = MixConfig(kind=args.kind, t=args.t, alpha=args.alpha, m=args.m, pool_prior=prior)
@@ -82,14 +79,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _check_given(args, "method")
     trace = load_trace(args.trace)
-    if args.method == CLSDA:
-        est = clsda(trace, SolverOptions(max_iter=args.max_iter, tol=args.tol))
-    elif args.method == ZCLIP:
+    if args.method == ZCLIP:
         est = zero_clip(lsda(trace))
     else:
-        est = {LSDA: lsda, RLS: rls, SDA: sda}[args.method](trace)
+        est = {LSDA: lsda, CLSDA: clsda, RLS: rls, SDA: sda}[args.method](trace)
     save_estimate(est, args.out)
     print(
         f"{args.method}: iterations={est.iterations} residual={est.residual:.6g} "
@@ -102,7 +96,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    _check_given(args, "kind")
+    _check_given(args)
     pop = load_population(args.population)
     base = (pop.frequencies, uniformity_stats(pop), args.t, args.rho)
     if args.kind == "pool":
@@ -193,17 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--method", choices=METHODS, default=LSDA)
-    solver = SolverOptions()
-    p.add_argument(
-        "--max-iter", action=_Given, type=int, default=solver.max_iter,
-        help="clsda iteration cap; the estimate is flagged converged=False if it is reached",
-    )
-    p.add_argument(
-        "--tol", action=_Given, type=float, default=solver.tol,
-        help="clsda converges when a projected step P -> Q has |Q - P| / |P| at most this",
-    )
     _out(p)
-    p.set_defaults(given=(), func=_cmd_attack)
+    p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("predict", help="closed-form error prediction for a population")
     p.add_argument("--population", required=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParameterError, InvalidScenarioError, ParseError, SingularSystemError,
-                     SolverDivergedError, _decode_utf8, _open_utf8, check, choice, integer, real)
+                     SolverDivergedError, _decode_utf8, _open_utf8, check, choice, integer)
 from .mixsim import THRESHOLD, Trace, _header_fields, _read_blocks
 from .observe import departure_blocks
 from .observe import expected_departures  # noqa: F401  bench/tracing.py wraps it under this module
@@ -37,6 +37,10 @@ RLS_BLOCK = 1024
 FACE_SETTLE = 3
 #: sorted columns of a row that :func:`_project_rows` reads before it widens its scan
 PROJECT_PREFIX = 64
+#: steps of :func:`clsda`, projected or conjugate-gradient, before it stops unconverged
+MAX_ITER = 5000
+#: relative Frobenius change ``|Q - P_k| / |P_k|`` of a step at which :func:`clsda` converges
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,26 +60,6 @@ class ProfileEstimate:
     residual: float = float("nan")
     converged: bool = True
     objective_history: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Options for :func:`clsda`'s projected-gradient and conjugate-gradient solver.
-
-    The solver converges once a projected step's relative Frobenius length,
-    ``|Q - P_k| / |P_k|``, is at most ``tol``; a conjugate-gradient run on a
-    face ends at the same change.  ``max_iter`` caps the steps of both kinds,
-    one Gram product each.  A ``max_iter`` that is not an integer >= 0, or a
-    ``tol`` that is not a finite positive number, raises
-    :class:`InvalidParameterError`, as does a bool for either.
-    """
-
-    max_iter: int = 5000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        check("max_iter", self.max_iter, integer(0))
-        check("tol", self.tol, real(0, np.inf, "()", "finite and positive"))
 
 
 def _check_rank(gram: np.ndarray) -> None:
@@ -114,7 +98,7 @@ class NormalEquations:
     :meth:`from_trace` is the one way the attacks build them: a block of rounds
     at a time, so that neither ``U_hat`` nor a float copy of ``Y`` is ever
     held whole.  Change them only through :meth:`update`, which drops the
-    solution :meth:`solve` keeps.
+    solution or refusal :meth:`solve` keeps.
     """
 
     def __init__(self, n_senders: int, n_receivers: int):
@@ -123,6 +107,7 @@ class NormalEquations:
         self.y_sq = 0.0
         self.rounds = 0
         self._solved = None  # the solution of gram @ P = cross, until the next update
+        self._refused = None  # or the message of the rank check that refused it
 
     @classmethod
     def from_trace(cls, trace: Trace) -> NormalEquations:
@@ -158,13 +143,23 @@ class NormalEquations:
         self.cross += a.T @ y
         self.y_sq += float(np.vdot(y, y))
         self.rounds += a.shape[0]
-        self._solved = None
+        self._solved = self._refused = None
 
     def solve(self) -> np.ndarray:
-        """Solve ``gram @ P = cross`` for every receiver at once, after the rank check; the
-        solution is kept until :meth:`update`, and each call gets a copy."""
+        """Solve ``gram @ P = cross`` for every receiver at once, after the rank check.
+
+        The solution, or the rank check's refusal, is kept until :meth:`update`:
+        each call gets a copy of the one, or a fresh :class:`SingularSystemError`
+        with the other's message.
+        """
+        if self._refused is not None:
+            raise SingularSystemError(self._refused)
         if self._solved is None:
-            _check_rank(self.gram)
+            try:
+                _check_rank(self.gram)
+            except SingularSystemError as exc:
+                self._refused = str(exc)
+                raise
             self._solved = np.linalg.solve(self.gram, self.cross)
         return self._solved.copy()
 
@@ -201,7 +196,7 @@ def lsda(trace: Trace) -> ProfileEstimate:
     trace does not identify.  The normal equations are built once per
     ``trace`` object, :data:`RLS_BLOCK` rounds at a time, and shared with
     later :func:`lsda`, :func:`clsda`, :func:`rls` and :func:`sda` calls on
-    it, as is their solution.
+    it, as is their solution or its refusal.
     """
     eq = _equations(trace)
     p_hat = eq.solve()
@@ -243,7 +238,7 @@ def _face_tangent(x: np.ndarray, face: np.ndarray) -> np.ndarray:
     return x
 
 
-def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
+def clsda(trace: Trace) -> ProfileEstimate:
     """Simplex-constrained least-squares estimate by projected and conjugate gradient.
 
     Minimises ``||Y - A @ P||_F**2`` with every sender row of ``P`` on the
@@ -264,19 +259,17 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     sum to 1}`` (GPCG; Moré & Toraldo 1991), where the Gram's isolated top
     eigenvalue costs about one extra step instead of setting the step size.
     Projected steps resume after a step that stops at an entry reaching 0 (set
-    to exactly 0) or changes ``P`` by at most ``tol``.
+    to exactly 0) or changes ``P`` by at most :data:`TOL`.
 
     Each step of either kind costs one Gram product and counts in
     ``iterations``; ``objective_history`` holds every accepted objective, and
     a step that raises it raises :class:`SolverDivergedError`.  Only a
-    projected step with ``|D| / |P_k|`` at most ``tol`` sets ``converged``; it
-    is taken in full, so a converged estimate is a projection.  A run cut by
-    ``max_iter`` also ends on the simplices.
+    projected step with ``|D| / |P_k|`` at most :data:`TOL` sets ``converged``;
+    it is taken in full, so a converged estimate is a projection.  A run cut
+    after :data:`MAX_ITER` steps also ends on the simplices.
     The normal equations and their unconstrained solution are those
     :func:`lsda` shares for the same ``trace`` object.
     """
-    if opts is None:
-        opts = SolverOptions()
     eq = _equations(trace)
     gram, cross = eq.gram, eq.cross
 
@@ -298,7 +291,7 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
     converged = False
     iterations = settled = 0
     face = None  # 0/1 mask of the support while conjugate gradient runs on its face
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if face is None and settled >= FACE_SETTLE:
             face, d, rr = support.astype(float), 0.0, np.inf
         p_norm = max(float(np.linalg.norm(p)), 1e-300)
@@ -310,7 +303,7 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
             dd, dgd = float(np.vdot(d, d)), float(np.vdot(d, gd))
             step = np.sqrt(dd) / p_norm
             a = 1.0  # in full: a plain step, one along a flat direction and one that converges
-            if sigma > mu and dgd > 0.0 and step > opts.tol:
+            if sigma > mu and dgd > 0.0 and step > TOL:
                 a = min(max(-float(np.vdot(d, g)) / dgd, 0.0), 1.0)
             p_new, gp_new = (q, gp + gd) if a == 1.0 else (p + a * d, gp + a * gd)
             sigma = dd / dgd if dgd > 0.0 else mu
@@ -342,10 +335,10 @@ def clsda(trace: Trace, opts: SolverOptions | None = None) -> ProfileEstimate:
             support = support_new
         p, gp, objective = p_new, gp_new, obj_new
         history.append(objective)
-        if face is None and step <= opts.tol:
+        if face is None and step <= TOL:
             converged = True
             break
-        if face is not None and (blocked or step <= opts.tol):
+        if face is not None and (blocked or step <= TOL):
             face, settled, support = None, 0, p > 0.0
 
     return ProfileEstimate(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLogError, EmptyTraceError, _open_utf8, check, integer
-from .mixsim import GroundTruth, MixConfig, Trace, _count_pairs, _read_blocks
+from .mixsim import MixConfig, Trace, _count_pairs, _read_blocks
 from .population import UserPopulation
 
 
@@ -135,13 +135,4 @@ def build_rounds(
     frequencies = sent_total / n_batched
 
     pop = UserPopulation(profiles, frequencies)
-    trace = Trace(
-        U=U,
-        Y=Y,
-        config=MixConfig(kind="threshold", t=t),
-        seed=0,
-        ground_truth=GroundTruth(
-            senders=senders, receivers=receivers, entry_rounds=rounds, exit_rounds=rounds
-        ),
-    )
-    return trace, pop
+    return Trace(U=U, Y=Y, config=MixConfig(kind="threshold", t=t), seed=0), pop

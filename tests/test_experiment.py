@@ -13,7 +13,6 @@ from mixprofile import (
     NormalEquations,
     ParseError,
     SingularSystemError,
-    SolverOptions,
     Trace,
     load_spec,
     run_experiment,
@@ -183,9 +182,7 @@ class TestRunExperiment:
         assert rows[1].mse_p_mean == pytest.approx(np.mean(rows[1].mse_i_mean) / 10, rel=1e-12)
 
     def test_a_capped_solver_is_recorded_not_converged(self, monkeypatch):
-        solve = mixprofile.experiment.clsda
-        monkeypatch.setattr(mixprofile.experiment, "clsda",
-                            lambda trace: solve(trace, SolverOptions(max_iter=1)))
+        monkeypatch.setattr(mixprofile.estimators, "MAX_ITER", 1)
         (row,) = run_experiment(tiny_spec(methods=("clsda",))).rows
         assert row.status == "not-converged"
         assert np.isfinite(row.mse_p_mean) and len(row.mse_i_mean) == 10
