@@ -274,6 +274,25 @@ class TestBadInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ("lsda", "--tol", 5),
+        ("lsda", "--max-iter", 1),
+        ("rls", "--tol", 1e-9),
+        ("zclip", "--max-iter", 10),
+        ("sda", "--tol", 1e-3),
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_flag_the_method_does_not_read(self, tmp_path, capsys, argv):
+        # no method reads --tol or --max-iter, so argparse refuses them before any file is opened
+        method, flag, value = argv
+        with pytest.raises(SystemExit) as info:
+            run("attack", "--trace", tmp_path / "missing.txt", "--method", method,
+                flag, value, "--out", tmp_path / "est.txt")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "est.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
         ("simulate", "--alpha", 0.3),
         ("simulate", "--m", 5),
         ("predict", "--alpha", 0.3),
