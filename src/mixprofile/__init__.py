@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .errors import (
     EmptyLogError,

@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import InvalidParameterError, MixProfileError
+from .errors import MixProfileError
 from .estimators import (
     CLSDA,
     LSDA,
@@ -40,26 +40,6 @@ def _out(parser: argparse.ArgumentParser, formats: bool = False):
                             help="output encoding")
 
 
-class _Given(argparse.Action):
-    """Store a flag that only some ``--kind`` choices read, and note it in ``given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, option_string)
-
-
-#: the flags that only some choices of ``--kind`` (``simulate``, ``predict``) read, with the
-#: choices that read each
-_READERS = {"--alpha": (BINOMIAL_POOL, "pool"), "--m": (BINOMIAL_POOL,)}
-
-
-def _check_given(args) -> None:
-    """Reject each flag in ``args.given`` that the choice of ``--kind`` does not read."""
-    for flag in args.given:
-        if args.kind not in _READERS[flag]:
-            raise InvalidParameterError(f"--kind {args.kind} does not read {flag}")
-
-
 def _cmd_gen(args) -> int:
     pop = gen_population(args.n_users, args.n_friends, args.profile_dist, args.freq_dist, args.seed)
     save_population(pop, args.out)
@@ -68,10 +48,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_given(args)
+    config = MixConfig(kind=args.kind, t=args.t, alpha=args.alpha, m=args.m)
     pop = load_population(args.population)
-    prior = pop.frequencies if (args.kind == BINOMIAL_POOL and args.m > 0) else None
-    config = MixConfig(kind=args.kind, t=args.t, alpha=args.alpha, m=args.m, pool_prior=prior)
+    if config.m > 0:
+        config = replace(config, pool_prior=pop.frequencies)
     trace = simulate_trace(pop, config, args.rho, seed=args.seed, record_ground_truth=False)
     save_trace(trace, args.out)
     print(f"wrote {trace.rho}-round {config.kind} trace to {args.out}")
@@ -92,14 +72,18 @@ def _cmd_attack(args) -> int:
     if not est.converged:
         print(f"warning: {args.method} did not converge in {est.iterations} iterations",
               file=sys.stderr)
+    silent = [i for i, sent in enumerate(trace.U.any(axis=0)) if not sent]
+    if silent:
+        print(f"warning: senders {silent} sent no message in this trace; their rows are not "
+              "estimated from their messages", file=sys.stderr)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    _check_given(args)
+    config = MixConfig(kind=args.kind, t=args.t, alpha=args.alpha)
     pop = load_population(args.population)
     base = (pop.frequencies, uniformity_stats(pop), args.t, args.rho)
-    if args.kind == "pool":
+    if config.kind == BINOMIAL_POOL:
         pred = predict_mse_pool(*base, args.alpha, args.regime)
     else:
         pred = predict_mse_threshold(*base, args.regime)
@@ -177,12 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--kind", choices=MIX_KINDS, default="threshold")
     p.add_argument("--t", type=int, default=10)
-    p.add_argument("--alpha", action=_Given, type=float, default=1.0, help="binomial_pool only")
-    p.add_argument("--m", action=_Given, type=int, default=0, help="binomial_pool only")
+    p.add_argument("--alpha", type=float, default=1.0, help="binomial_pool only")
+    p.add_argument("--m", type=int, default=0, help="binomial_pool only")
     p.add_argument("--rho", type=int, required=True)
     _seed(p)
     _out(p)
-    p.set_defaults(given=(), func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("attack", help="run a profiling attack on a trace file")
     p.add_argument("--trace", required=True)
@@ -192,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="closed-form error prediction for a population")
     p.add_argument("--population", required=True)
-    p.add_argument("--kind", choices=("threshold", "pool"), default="threshold")
+    p.add_argument("--kind", choices=MIX_KINDS, default="threshold")
     p.add_argument("--t", type=int, default=10)
-    p.add_argument("--alpha", action=_Given, type=float, default=1.0, help="pool only")
+    p.add_argument("--alpha", type=float, default=1.0, help="binomial_pool only")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--regime", choices=REGIMES, default=EXACT)
     _out(p, formats=True)
-    p.set_defaults(given=(), func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ingest", help="batch a real event log into a threshold trace")
     p.add_argument("--events", required=True)

@@ -30,7 +30,6 @@ from .population import FREQ_DISTS, PROFILE_DISTS, gen_population, uniformity_st
 from .theory import EXACT, ROUGH, predict_mse_pool, predict_mse_threshold
 
 SWEEPABLE = ("rho", "n_users", "n_friends", "t", "alpha", "freq_dist")
-_SWEEP_ALIASES = {"N": "n_users"}
 
 
 #: spec field -> its rule, as :func:`~mixprofile.errors.check` takes it
@@ -41,8 +40,7 @@ _FIELD_RULES = {
     "profile_dist": choice(PROFILE_DISTS),
     "freq_dist": choice(FREQ_DISTS),
     "mix_kind": choice(MIX_KINDS),
-    "sweep_param": (lambda v: v in (None, *SWEEPABLE, *_SWEEP_ALIASES),
-                    f"null or one of {SWEEPABLE}"),
+    "sweep_param": (lambda v: v in (None, *SWEEPABLE), f"null or one of {SWEEPABLE}"),
     "sweep_values": (lambda v: isinstance(v, (list, tuple)), "a list"),
     "methods": (lambda v: isinstance(v, (list, tuple)) and all(m in METHODS for m in v)
                 and len(set(v)) == len(v), f"a list of distinct methods from {METHODS}"),
@@ -89,12 +87,10 @@ class ExperimentSpec:
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.sweep_param is not None:
-            canon = _SWEEP_ALIASES.get(self.sweep_param, self.sweep_param)
-            object.__setattr__(self, "sweep_param", canon)
             if not self.sweep_values:
                 raise _FieldError("sweep_values must be non-empty", "sweep_values")
             for value in self.sweep_values:
-                _check_field(canon, value, key="sweep_values")
+                _check_field(self.sweep_param, value, key="sweep_values")
         elif self.sweep_values:
             raise _FieldError("sweep_values needs a sweep_param", "sweep_values")
         if self.mix_kind == THRESHOLD:

@@ -142,11 +142,6 @@ class Trace:
     n_senders = property(lambda self: self.U.shape[1])
     n_receivers = property(lambda self: self.Y.shape[1])
 
-    @property
-    def final_pool_size(self) -> int:
-        """Messages still inside the mix after the last observed round."""
-        return self.rho * self.config.t + self.config.m - int(self.Y.sum())
-
     def validate(self):
         if self.U.ndim != 2 or self.Y.ndim != 2 or self.U.shape[0] != self.Y.shape[0]:
             raise InvalidParameterError("U and Y must be matrices with one row per round")

@@ -16,13 +16,11 @@ import numpy as np
 
 from .errors import (InvalidParameterError, SingularFrequencyError, check, choice, integer,
                      probabilities, real, reals)
+from .mixsim import BINOMIAL_POOL, THRESHOLD
 
 EXACT = "exact"
 ROUGH = "rough_approx"
 REGIMES = (EXACT, ROUGH)
-
-THRESHOLD_KIND = "threshold"
-POOL_KIND = "pool"
 
 #: absolute tolerance accepted on the sum of a frequency vector
 _FREQ_SUM_TOL = 1e-9
@@ -72,7 +70,7 @@ def predict_mse_threshold(
     dominant term ``(1/f_i) / rho`` (valid for rare senders with flat
     profiles).  This is :func:`predict_mse_pool` at ``alpha = 1``.
     """
-    return replace(predict_mse_pool(f, u, t, rho, 1.0, regime), mix_kind=THRESHOLD_KIND)
+    return replace(predict_mse_pool(f, u, t, rho, 1.0, regime), mix_kind=THRESHOLD)
 
 
 def pool_constants(alpha: float) -> tuple[float, float]:
@@ -129,7 +127,7 @@ def predict_mse_pool(
         mse_profile=mse,
         mse_transition=float(mse.sum()) / f.size**2,
         regime=regime,
-        mix_kind=POOL_KIND,
+        mix_kind=BINOMIAL_POOL,
         alpha_q=alpha_q,
         alpha_r=alpha_r,
         round_penalty=penalty,

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import mixprofile
-from mixprofile import load_estimate, load_population, load_trace
+from mixprofile import (MixConfig, UserPopulation, load_estimate, load_population, load_trace,
+                        save_trace, simulate_trace)
 from mixprofile.cli import build_parser, main
 from mixprofile import estimators
 from mixprofile.estimators import METHODS
+from mixprofile.mixsim import MIX_KINDS
 
 
 def run(*argv):
@@ -56,6 +58,14 @@ class TestPipeline:
         figures = [doc[key] for key in ("alpha_q", "alpha_r", "round_penalty", "mean_delay")]
         assert figures == [1.0, 1.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("kind", MIX_KINDS)
+    def test_prediction_names_its_mix_kind(self, tmp_path, kind):
+        pop_path, pred_path = tmp_path / "pop.json", tmp_path / "pred.json"
+        run("gen", "--n-users", 6, "--n-friends", 2, "--seed", 1, "--out", pop_path)
+        assert run("predict", "--population", pop_path, "--kind", kind, "--t", 3, "--rho", 50,
+                   "--out", pred_path) == 0
+        assert json.loads(pred_path.read_text())["mix_kind"] == kind
+
     def test_sda_estimates_every_sender(self, tmp_path):
         pop_path, trace_path, est_path = (tmp_path / name for name in ("pop.json", "t.txt", "e.txt"))
         run("gen", "--n-users", 9, "--n-friends", 3, "--seed", 4, "--out", pop_path)
@@ -96,6 +106,36 @@ class TestPipeline:
         assert load_estimate(est_path).converged is False
         assert run("attack", "--trace", trace_path, "--method", "clsda", "--out", est_path) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", MIX_KINDS)
+    def test_attack_names_the_senders_that_sent_nothing(self, tmp_path, capsys, kind, method):
+        # sender 3 has frequency 0: a threshold trace cannot identify its row, and a pool trace
+        # fits it only to the initial pool's prior term; a written estimate must say so
+        pop = UserPopulation(np.full((4, 4), 0.25), np.array([1.0, 1.0, 1.0, 0.0]) / 3)
+        config, seed = MixConfig(t=3), 1
+        if kind == "binomial_pool":
+            config = MixConfig(kind=kind, t=3, alpha=0.5, m=4, pool_prior=np.full(4, 0.25))
+            seed = 2
+        trace_path, est_path = tmp_path / "trace.txt", tmp_path / "est.txt"
+        save_trace(simulate_trace(pop, config, 400, seed=seed), trace_path)
+        assert not load_trace(trace_path).U[:, 3].any()
+        refusal = {
+            ("threshold", "lsda"): "senders [3] are not identified by this trace",
+            ("threshold", "rls"): "senders [3] are not identified by this trace",
+            ("threshold", "zclip"): "senders [3] are not identified by this trace",
+            ("binomial_pool", "sda"): "sda needs a threshold trace, got binomial_pool",
+        }.get((kind, method))
+        code = run("attack", "--trace", trace_path, "--method", method, "--out", est_path)
+        out, err = capsys.readouterr()
+        if refusal:
+            assert code == 1 and err.startswith("error: ") and refusal in err
+            assert not est_path.exists()
+        else:
+            assert code == 0 and out.endswith(f"wrote {est_path}\n")
+            assert err == ("warning: senders [3] sent no message in this trace; their rows are "
+                           "not estimated from their messages\n")
+            assert load_estimate(est_path).P_hat.shape == (4, 4)
 
     def test_attack_error_reported(self, tmp_path, capsys):
         pop_path = tmp_path / "pop.json"
@@ -298,12 +338,29 @@ class TestBadInput:
         ("predict", "--alpha", 0.3),
     ], ids=lambda argv: f"{argv[0]}{argv[1]}")
     def test_flag_the_threshold_kind_does_not_read(self, tmp_path, capsys, argv):
-        # a threshold mix has alpha=1 and m=0; the flag used to be dropped without a word
+        # a threshold mix has alpha=1 and m=0; MixConfig refuses any other value before the
+        # population file (here a missing one) is opened
         command, flag, value = argv
+        key = flag.lstrip("-")
         self.check_error(capsys, command, "--population", tmp_path / "missing.json", "--rho", 10,
                          "--kind", "threshold", flag, value, "--out", tmp_path / "out.txt",
-                         match=f"--kind threshold does not read {flag}")
+                         match=f"mix_kind threshold reads neither alpha nor m; got {key}={value}")
         assert not (tmp_path / "out.txt").exists()
+
+    def test_threshold_kind_accepts_its_own_alpha_and_m(self, tmp_path):
+        pop_path, trace_path = tmp_path / "pop.json", tmp_path / "trace.txt"
+        run("gen", "--n-users", 6, "--n-friends", 2, "--seed", 1, "--out", pop_path)
+        assert run("simulate", "--population", pop_path, "--kind", "threshold", "--alpha", 1,
+                   "--m", 0, "--t", 3, "--rho", 20, "--out", trace_path) == 0
+        assert load_trace(trace_path).config == MixConfig(t=3)
+
+    def test_predict_refuses_the_old_pool_spelling(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("predict", "--population", tmp_path / "missing.json", "--rho", 10,
+                "--kind", "pool", "--alpha", 0.5, "--out", tmp_path / "out.json")
+        assert info.value.code == 2
+        assert "invalid choice: 'pool'" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv, text", [
         pytest.param(("attack", "--trace", "{bad}"),

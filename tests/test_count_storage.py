@@ -49,7 +49,7 @@ def everything(trace, path) -> dict:
     return {
         "statistics": (eq.gram.tobytes(), eq.cross.tobytes(), eq.y_sq, eq.rounds),
         **{f.__name__: outcome(f(trace)) for f in (lsda, clsda, rls)},
-        "final_pool_size": trace.final_pool_size,
+        "final_pool_size": trace.rho * trace.config.t + trace.config.m - int(trace.Y.sum()),
         "file": path.read_bytes(),
     }
 
@@ -105,7 +105,8 @@ def test_trace_file_with_counts_beyond_int16_loads_intact(tmp_path):
     trace = load_trace(path)
     assert trace.U.dtype == np.int8 and trace.Y.dtype == np.int32
     assert trace.Y[:, 0].tolist() == Y.tolist()
-    assert trace.final_pool_size == 40_000 + rho - int(Y.sum())
+    config = trace.config
+    assert trace.rho * config.t + config.m - int(trace.Y.sum()) == 40_000 + rho - int(Y.sum())
 
 
 POOL_100 = dict(kind="binomial_pool", t=10, alpha=0.5, m=10)

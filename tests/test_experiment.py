@@ -44,8 +44,11 @@ def read_rows(path):
 
 class TestSpec:
     def test_sweep_alias(self):
-        spec = tiny_spec(sweep_param="N", sweep_values=(5, 10))
+        # the swept population size has one name; the old alias N is refused like any other
+        spec = tiny_spec(sweep_param="n_users", sweep_values=(5, 10))
         assert spec.sweep_param == "n_users"
+        with pytest.raises(InvalidParameterError, match="sweep_param must be null or one of"):
+            tiny_spec(sweep_param="N", sweep_values=(5, 10))
 
     def test_rejects_unknown_sweep(self):
         with pytest.raises(InvalidParameterError):
@@ -99,7 +102,7 @@ class TestSpec:
         (dict(n_users=2), 2, 3),
         (dict(n_friends=11), 10, 11),
         (dict(sweep_param="n_users", sweep_values=(10, 2)), 2, 3),
-        (dict(sweep_param="N", sweep_values=(10, 2)), 2, 3),
+        (dict(sweep_param="n_users", sweep_values=(2, 10)), 2, 3),
         (dict(sweep_param="n_friends", sweep_values=(3, 12)), 10, 12),
     ])
     def test_rejects_a_cell_with_more_friends_than_users(self, overrides, users, friends):
@@ -122,6 +125,8 @@ class TestSpec:
         ({"sweep_param": "alpha", "sweep_values": [0.2, 0.9]}, 2,
          "mix_kind threshold reads .*; got sweep_param='alpha'"),
         ({"methods": ["lsda", "lsda"]}, 2, "methods must be a list of distinct methods"),
+        ({"n_users": 20, "sweep_param": "N", "sweep_values": [20, 30]}, 3,
+         "sweep_param must be null or one of"),
     ])
     def test_spec_file_rule_names_the_line(self, tmp_path, doc, line, match):
         path = tmp_path / "spec.json"

@@ -196,7 +196,7 @@ class TestPoolSimulation:
         trace = simulate_trace(pop, cfg, rho=200, seed=2)
         pending = int(np.sum(trace.ground_truth.exit_rounds < 0))
         assert int(trace.Y.sum()) + pending == 200 * 6 + 9
-        assert trace.final_pool_size == pending
+        assert trace.rho * cfg.t + cfg.m - int(trace.Y.sum()) == pending
 
     def test_pool_occupancy_recursion(self):
         pop = gen_population(6, 2, "zipf", "uniform", seed=0)
@@ -207,7 +207,7 @@ class TestPoolSimulation:
         for r in range(trace.rho):
             occupancy = occupancy + 4 - int(exited[r])
             assert occupancy >= 0
-        assert occupancy == trace.final_pool_size
+        assert occupancy == trace.rho * cfg.t + cfg.m - int(trace.Y.sum())
 
     def test_delay_is_geometric(self):
         # chi-square goodness of fit at significance 0.01, >= 1e5 samples

@@ -88,6 +88,7 @@ class TestPoolPredictor:
         thr = predict_mse_threshold(f, u, t, rho)
         np.testing.assert_array_equal(pool.mse_profile, thr.mse_profile)
         assert pool.alpha_q == 1.0 and pool.alpha_r == 1.0
+        assert pool.mix_kind == "binomial_pool"
 
     def test_threshold_carries_the_alpha_one_figures(self):
         for regime in ("exact", "rough_approx"):
