@@ -5,7 +5,7 @@ least-squares disclosure attacks, and check the attacks against
 closed-form error predictors.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .errors import (
     EmptyLogError,
@@ -20,9 +20,11 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .estimators import (
+    ExpectedDepartures,
     NormalEquations,
     ProfileEstimate,
     clsda,
+    expected_departures,
     load_estimate,
     lsda,
     rls,
@@ -52,7 +54,6 @@ from .mixsim import (
     save_trace,
     simulate_trace,
 )
-from .observe import ExpectedDepartures, expected_departures
 from .population import (
     UserPopulation,
     gen_population,

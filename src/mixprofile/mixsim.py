@@ -91,9 +91,6 @@ class GroundTruth:
     entry_rounds: np.ndarray
     exit_rounds: np.ndarray
 
-    def __len__(self):
-        return self.senders.size
-
 
 @dataclass(frozen=True, eq=False)
 class Trace:

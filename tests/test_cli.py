@@ -1,15 +1,18 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mixprofile
-from mixprofile import (MixConfig, UserPopulation, load_estimate, load_population, load_trace,
+from mixprofile import (ExperimentSpec, MixConfig, UserPopulation, gen_population, load_estimate,
+                        load_population, load_trace, run_experiment, save_population, save_spec,
                         save_trace, simulate_trace)
 from mixprofile.cli import build_parser, main
 from mixprofile import estimators
@@ -184,6 +187,61 @@ class TestPipeline:
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header.startswith("sweep_param,sweep_value,method,mse_p_mean")
         assert len([ln for ln in lines if not ln.startswith("#")]) == 3
+
+    @pytest.mark.parametrize("frequencies", [[0.25, 0.25, 0.25, 0.25, 0.0], [0.2] * 5])
+    def test_predict_csv_matches_the_json_prediction(self, tmp_path, frequencies):
+        pop_path, csv_path, json_path = tmp_path / "pop.json", tmp_path / "p.csv", tmp_path / "p.json"
+        save_population(UserPopulation(gen_population(5, 2, seed=1).profiles, frequencies), pop_path)
+        argv = ("predict", "--population", pop_path, "--t", 3, "--rho", 100)
+        assert run(*argv, "--format", "csv", "--out", csv_path) == 0
+        assert run(*argv, "--out", json_path) == 0
+        doc = json.loads(json_path.read_text())
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "user,mse_i"
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [user for user, _ in rows] == [str(i) for i in range(5)]
+        assert [v if v == "unidentifiable" else float(v) for _, v in rows] == doc["mse_profile"]
+        assert [v == "unidentifiable" for _, v in rows] == [f == 0.0 for f in frequencies]
+        label, value = lines[-1].split(",")
+        assert (label, float(value)) == ("all", doc["mse_transition"])
+
+    def experiment_spec(self, tmp_path):
+        spec = ExperimentSpec(n_users=8, n_friends=3, rho=150, t=4, sweep_param="rho",
+                              sweep_values=(100, 200), methods=("lsda", "clsda"), repetitions=2)
+        save_spec(spec, tmp_path / "spec.json")
+        return spec, tmp_path / "spec.json"
+
+    @staticmethod
+    def without_wall_time(rows):
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+    def test_experiment_seed_overrides_the_spec(self, tmp_path):
+        spec, spec_path = self.experiment_spec(tmp_path)
+        out = tmp_path / "report.json"
+        assert run("experiment", "--spec", spec_path, "--seed", 5, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        expected = run_experiment(replace(spec, master_seed=5))
+        assert doc["metadata"]["master_seed"] == 5
+        assert self.without_wall_time(doc["rows"]) == self.without_wall_time(
+            [asdict(row) for row in expected.rows])
+        unseeded = run_experiment(spec)
+        assert [r.mse_p_mean for r in unseeded.rows] != [r["mse_p_mean"] for r in doc["rows"]]
+
+    def test_experiment_json_rows_match_the_csv_rows(self, tmp_path):
+        _, spec_path = self.experiment_spec(tmp_path)
+        csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+        assert run("experiment", "--spec", spec_path, "--format", "csv", "--out", csv_path) == 0
+        assert run("experiment", "--spec", spec_path, "--format", "json", "--out", json_path) == 0
+        lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+        header, *csv_rows = list(csv.reader(lines))
+        json_rows = json.loads(json_path.read_text())["rows"]
+        assert len(csv_rows) == len(json_rows) == 4
+        for values, row in zip(csv_rows, json_rows):
+            for key, text in zip(header, values):
+                if key == "wall_ms":
+                    continue
+                value = row[key]
+                assert text == str(value) if isinstance(value, str) else float(text) == value
 
 
 class TestBadInput:

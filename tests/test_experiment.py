@@ -64,6 +64,20 @@ class TestSpec:
         with pytest.raises(ParseError, match="line 3: sweep_values needs a sweep_param"):
             load_spec(path)
 
+    def test_spec_file_that_is_a_json_array(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('[\n {"n_users": 10}\n]\n')
+        with pytest.raises(ParseError, match="line 1: a spec must be a JSON object") as info:
+            load_spec(path)
+        assert info.value.line_no == 1
+
+    def test_spec_file_sweep_param_with_no_values(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{\n "n_users": 10,\n "sweep_param": "rho",\n "sweep_values": []\n}\n')
+        with pytest.raises(ParseError, match="line 4: sweep_values must be non-empty") as info:
+            load_spec(path)
+        assert info.value.line_no == 4
+
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidParameterError):
             tiny_spec(methods=("pmda",))

@@ -76,6 +76,10 @@ class TestAggregation:
         np.testing.assert_allclose(a.mse_profile, b.mse_profile, rtol=1e-15)
         assert a.mse_transition == pytest.approx(b.mse_transition, rel=1e-15)
 
+    def test_no_repetitions_refused(self):
+        with pytest.raises(InvalidParameterError, match="need at least one repetition"):
+            aggregate_repetitions([], n_receivers=3)
+
     def test_transition_identity(self):
         rows = np.array([[0.1, 0.2], [0.3, 0.4]])
         report = aggregate_repetitions(rows, n_receivers=3)

@@ -7,12 +7,14 @@ from mixprofile import (
     InvalidParameterError,
     MixConfig,
     ParseError,
+    ProfileEstimate,
     Trace,
     UnsupportedQueryError,
     UserPopulation,
     delay_stats,
     gen_population,
     load_trace,
+    save_estimate,
     save_trace,
     simulate_trace,
 )
@@ -276,6 +278,10 @@ class TestDelayStats:
 
 
 class TestTraceValidation:
+    def test_one_dimensional_counts_refused(self):
+        with pytest.raises(InvalidParameterError, match="U and Y must be matrices"):
+            Trace(U=[1, 1], Y=[[1, 1]], config=MixConfig(kind="threshold", t=2))
+
     def test_u_row_sum_enforced(self):
         with pytest.raises(InvalidParameterError):
             make_trace(U=[[2, 0], [1, 0]], Y=[[2, 0], [2, 0]])
@@ -459,6 +465,20 @@ class TestTraceFile:
         monkeypatch.setattr(np, "zeros", no_memory)
         with pytest.raises(ParseError, match="line 1: header sizes too large: cannot allocate"):
             load_trace(path)
+
+    def test_missing_last_round_line_rejected_without_a_line(self, tmp_path):
+        # the one round line is long enough for rho=2 to pass the size check
+        path = self._write(tmp_path, ["0 in 0:1 1:1 out 0:1 1:1"], rho=2)
+        with pytest.raises(ParseError, match="^no line for round 1$") as info:
+            load_trace(path)
+        assert info.value.line_no is None
+
+    def test_file_that_is_not_a_trace_rejected_at_line_1(self, tmp_path):
+        path = tmp_path / "est.txt"
+        save_estimate(ProfileEstimate(np.eye(2), "lsda"), path)
+        with pytest.raises(ParseError, match="line 1: missing mixtrace header") as info:
+            load_trace(path)
+        assert info.value.line_no == 1
 
     def test_line_beyond_rho_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0 in 0:2 out 1:2", "1 in 0:2 out 1:2", "2 in 0:2 out 1:2"])

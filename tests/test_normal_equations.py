@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mixprofile import InvalidParameterError, NormalEquations, expected_departures, lsda
 from mixprofile import estimators
-from mixprofile.observe import BLOCK
+from mixprofile.estimators import BLOCK
 
 from conftest import make_trace, random_trace
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixprofile import InvalidParameterError, expected_departures
-from mixprofile.observe import BLOCK, departure_blocks
+from mixprofile.estimators import BLOCK, departure_blocks
 
 from conftest import make_trace
 

@@ -139,6 +139,11 @@ class TestPoolPredictor:
         b = predict_mse_pool(f, u, t, 2 * rho, alpha=0.3)
         np.testing.assert_allclose(b.mse_profile, a.mse_profile / 2, rtol=1e-14)
 
+    def test_f_and_u_of_different_lengths_refused(self):
+        f, u, t, rho = baseline_args(n=4)
+        with pytest.raises(InvalidParameterError, match="f and u must be vectors of equal length"):
+            predict_mse_pool(f, u[:3], t, rho, alpha=0.5)
+
     def test_bad_alpha(self):
         f, u, t, rho = baseline_args(n=4)
         with pytest.raises(InvalidParameterError):
@@ -166,6 +171,10 @@ class TestInputAutocorrelation:
             r_x, r_x_inv = input_autocorr_inverse(f, t=7)
             err = np.max(np.abs(r_x @ r_x_inv - np.eye(n)))
             assert err <= 1e-10
+
+    def test_matrix_of_frequencies_refused(self):
+        with pytest.raises(InvalidParameterError, match="f must be a vector"):
+            input_autocorr_inverse(np.full((2, 2), 0.25), t=3)
 
     def test_zero_frequency_is_singular(self):
         with pytest.raises(SingularFrequencyError):
